@@ -17,13 +17,15 @@
 //!
 //! For each action this module produces [`ActionCode`]: the fast engine's
 //! executable ops with operands rewritten to registers/immediates/
-//! placeholders, the action kind, the resume point used by miss recovery
-//! and the known-value sets committed after a recovery. For the slow
+//! placeholders, the action kind, and the known-value sets committed
+//! after a recovery. For the slow
 //! engine it produces per-instruction [`InstAnnot`] instrumentation:
 //! where actions start, which operand values to memoize, and what closes
 //! the action — the compiler-added `memoize_*` calls of the paper's
 //! Figure 10.
 
+use crate::slow::SlowProgram;
+use crate::CodegenError;
 use facile_bta::{terminator_dynamic, transfer, Bt, Bta, Env};
 use facile_ir::ir::*;
 use facile_ir::liveness::var_liveness;
@@ -233,26 +235,6 @@ pub enum ActionKind {
     },
 }
 
-/// Where normal slow execution resumes after a recovery that ends at this
-/// action.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Resume {
-    /// Continue interpreting `block` at instruction `inst` (`inst` may be
-    /// one past the last instruction, meaning: evaluate the terminator).
-    AtInst {
-        /// The block.
-        block: BlockId,
-        /// Instruction index to resume at.
-        inst: u32,
-    },
-    /// The action was the block's dynamic terminator: branch from `block`
-    /// using the recorded test value.
-    AtTerm {
-        /// The block.
-        block: BlockId,
-    },
-}
-
 /// The fast engine's code for one action.
 #[derive(Clone, Debug)]
 pub struct ActionCode {
@@ -260,8 +242,6 @@ pub struct ActionCode {
     pub ops: Vec<FOp>,
     /// Plain, test or index.
     pub kind: ActionKind,
-    /// Recovery resume point.
-    pub resume: Resume,
     /// Scalar variables known (run-time static) and live right after this
     /// action — the values a recovery commits from its shadow state.
     pub known_vars_after: Box<[VarId]>,
@@ -397,7 +377,7 @@ pub struct BlockAnnot {
 /// instrumentation.
 #[derive(Clone, Debug)]
 pub struct CompiledStep {
-    /// The (folded, lifted) IR the slow engine interprets.
+    /// The (folded, lifted) IR the slow program is lowered from.
     pub ir: IrProgram,
     /// Binding-time analysis matching `ir`.
     pub bta: Bta,
@@ -407,6 +387,9 @@ pub struct CompiledStep {
     pub debug: Vec<ActionDebug>,
     /// Per-block slow-engine instrumentation.
     pub blocks: Vec<BlockAnnot>,
+    /// The slow engine's pre-decoded op program, lowered from `ir` and
+    /// `blocks` (run in plain, record and recover modes).
+    pub slow: SlowProgram,
     /// `main`'s parameter types (the key layout).
     pub param_types: Vec<Type>,
 }
@@ -423,8 +406,14 @@ impl CompiledStep {
     }
 }
 
-/// Extracts the action table and slow-engine instrumentation.
-pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
+/// Extracts the action table and slow-engine instrumentation, and lowers
+/// the slow engine's op program.
+///
+/// # Errors
+///
+/// Returns a [`CodegenError`] when the slow program cannot be lowered
+/// (see [`SlowProgram::lower`]).
+pub fn extract_actions(ir: IrProgram, bta: Bta) -> Result<CompiledStep, CodegenError> {
     let param_types = ir.main.param_types.clone();
     let liveness = var_liveness(&ir.main);
     let mut actions: Vec<ActionCode> = Vec::new();
@@ -466,10 +455,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
                     actions.push(ActionCode {
                         ops: Vec::new(),
                         kind: ActionKind::Plain,
-                        resume: Resume::AtInst {
-                            block: bid,
-                            inst: ii as u32,
-                        },
                         known_vars_after: Box::new([]),
                         known_aggs_after: Box::new([]),
                         known_globals_after: Box::new([]),
@@ -620,10 +605,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
                 Inst::Verify { .. } => {
                     // The tested value is the last placeholder/register.
                     ac.kind = ActionKind::Test { src: fops[0] };
-                    ac.resume = Resume::AtInst {
-                        block: bid,
-                        inst: (ii + 1) as u32,
-                    };
                     annot.closes = Some(Closes::Verify);
                     debug[action_id as usize].kind = DebugKind::Verify;
                     debug[action_id as usize].guard_span = inst_span;
@@ -669,10 +650,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
                         }
                     }
                     ac.kind = ActionKind::Index { plan };
-                    ac.resume = Resume::AtInst {
-                        block: bid,
-                        inst: (ii + 1) as u32,
-                    };
                     annot.closes = Some(Closes::Index);
                     debug[action_id as usize].kind = DebugKind::Index;
                     debug[action_id as usize].guard_span = inst_span;
@@ -704,7 +681,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
                     actions.push(ActionCode {
                         ops: Vec::new(),
                         kind: ActionKind::Plain,
-                        resume: Resume::AtTerm { block: bid },
                         known_vars_after: Box::new([]),
                         known_aggs_after: Box::new([]),
                         known_globals_after: Box::new([]),
@@ -738,7 +714,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
             }
             let ac = &mut actions[action_id as usize];
             ac.kind = ActionKind::Test { src: fsrc };
-            ac.resume = Resume::AtTerm { block: bid };
             let live = live_after
                 .last()
                 .cloned()
@@ -747,10 +722,6 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
             blocks[bi].term_action = Some(action_id);
         } else if let Some(id) = open {
             // Plain group closed at the end of the block.
-            actions[id as usize].resume = Resume::AtInst {
-                block: bid,
-                inst: n_insts as u32,
-            };
             let live = live_after
                 .last()
                 .cloned()
@@ -771,14 +742,16 @@ pub fn extract_actions(ir: IrProgram, bta: Bta) -> CompiledStep {
     }
     debug_assert_eq!(actions.len(), debug.len());
 
-    CompiledStep {
+    let slow = SlowProgram::lower(&ir, &blocks, &actions)?;
+    Ok(CompiledStep {
         ir,
         bta,
         actions,
         debug,
         blocks,
+        slow,
         param_types,
-    }
+    })
 }
 
 /// Live variable sets after each instruction position of block `bi`
@@ -882,6 +855,7 @@ fn finalize_known(ac: &mut ActionCode, env: &Env, ir: &IrProgram, live: &[VarId]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slow::{SOp, NO_REC};
     use facile_bta::{insert_lifts, LiftConfig};
     use facile_ir::lower::lower;
     use facile_lang::diag::Diagnostics;
@@ -895,7 +869,7 @@ mod tests {
         assert!(!diags.has_errors(), "{}", diags.render_all(src));
         let mut ir = lower(&prog, &syms, &mut diags).expect("lowering succeeds");
         let (bta, _) = insert_lifts(&mut ir, LiftConfig::default());
-        extract_actions(ir, bta)
+        extract_actions(ir, bta).expect("slow program lowers")
     }
 
     #[test]
@@ -996,7 +970,17 @@ mod tests {
             .filter(|a| matches!(a.kind, ActionKind::Test { .. }))
             .collect();
         assert_eq!(tests.len(), 1);
-        assert!(matches!(tests[0].resume, Resume::AtTerm { .. }));
+        // The slow program closes it at the block's branch.
+        let test_action = c
+            .actions
+            .iter()
+            .position(|a| matches!(a.kind, ActionKind::Test { .. }))
+            .unwrap() as u32;
+        assert!(c.slow.ops.iter().zip(&c.slow.recs).any(|(op, &r)| {
+            matches!(op, SOp::BrNz { .. } | SOp::BrZ { .. } | SOp::Br { .. })
+                && r != NO_REC
+                && c.slow.points[r as usize].action == test_action
+        }));
         // The test's ops computed the comparison.
         assert!(tests[0]
             .ops
@@ -1014,15 +998,18 @@ mod tests {
                next(x + lat);\n\
              }",
         );
-        let test = c
+        let test_action = c
             .actions
             .iter()
-            .find(|a| matches!(a.kind, ActionKind::Test { .. }))
+            .position(|a| matches!(a.kind, ActionKind::Test { .. }))
             .expect("verify test exists");
-        assert!(matches!(
-            test.resume,
-            Resume::AtInst { .. }
-        ));
+        let test = &c.actions[test_action];
+        // The slow program's verify op closes that action; a recovery
+        // ending there resumes at the next op.
+        assert!(c.slow.ops.iter().zip(&c.slow.recs).any(|(op, &r)| {
+            matches!(op, SOp::Verify { .. })
+                && c.slow.points[r as usize].action == test_action as u32
+        }));
         // The ext call is inside the test action's ops.
         assert!(test.ops.iter().any(|o| matches!(o, FOp::CallExt { .. })));
         // count_cycles(lat) has an rt-static operand => a separate plain

@@ -8,8 +8,9 @@
 //! the dynamic-action table ([`actions::extract_actions`]) that drives the
 //! two engines in `facile-vm`:
 //!
-//! * the **slow/complete** engine interprets the annotated IR and records
-//!   actions into the specialized action cache, and
+//! * the **slow/complete** engine runs the pre-decoded [`SlowProgram`]
+//!   lowered from the annotated IR ([`slow`]) and records actions into
+//!   the specialized action cache, and
 //! * the **fast/residual** engine replays [`ActionCode`] entries.
 //!
 //! # Examples
@@ -38,10 +39,12 @@
 //! ```
 
 pub mod actions;
+pub mod slow;
 
+pub use slow::{AggLayout, SOp, SlowProgram};
 pub use actions::{
     ActionCode, ActionDebug, ActionKind, BlockAnnot, Closes, CompiledStep, DebugKind, FOp,
-    FOperand, InstAnnot, KeyPlanArg, LiftWhat, Resume,
+    FOperand, InstAnnot, KeyPlanArg, LiftWhat,
 };
 
 use facile_bta::{insert_lifts, LiftConfig};
@@ -116,14 +119,15 @@ impl Default for CodegenConfig {
 /// # Errors
 ///
 /// Returns a [`CodegenError`] when the generated table violates an
-/// engine invariant (see [`validate_key_plans`]) — a compiler bug
+/// engine invariant (an INDEX key plan with a placeholder in a dynamic
+/// slot, or a slow program that does not lower) — a compiler bug
 /// surfaced at compile time instead of a VM panic at simulation time.
 pub fn compile(mut ir: IrProgram, config: &CodegenConfig) -> Result<CompiledStep, CodegenError> {
     if config.fold {
         fold_constants(&mut ir.main);
     }
     let (bta, _stats) = insert_lifts(&mut ir, config.lifts);
-    let step = actions::extract_actions(ir, bta);
+    let step = actions::extract_actions(ir, bta)?;
     validate_key_plans(&step)?;
     Ok(step)
 }
@@ -151,10 +155,9 @@ mod tests {
         let mut corrupted = false;
         for code in &mut step.actions {
             if let ActionKind::Index { plan } = &mut code.kind {
-                for arg in plan.iter_mut() {
+                if let Some(arg) = plan.first_mut() {
                     *arg = KeyPlanArg::ScalarDyn(FOperand::Ph);
                     corrupted = true;
-                    break;
                 }
             }
         }

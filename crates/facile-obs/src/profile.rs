@@ -8,7 +8,7 @@
 //!   action table (source span, guard span, construct kind, binding-time
 //!   operand signature — resolved to line/column by the caller, since
 //!   this crate sits below the compiler and never sees source text),
-//! * the per-action **cost counters** from [`Metrics`]
+//! * the per-action **cost counters** from [`Metrics`](crate::Metrics)
 //!   (`action_fast_insns` / `action_slow_insns` / replays / visits), and
 //! * the per-action **miss attribution** (`action_misses`,
 //!   `miss_values`).

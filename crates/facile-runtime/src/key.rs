@@ -141,16 +141,25 @@ impl<'a> KeyReader<'a> {
 
     /// Reads one queue component.
     pub fn queue(&mut self) -> Option<Vec<i64>> {
+        let mut out = Vec::new();
+        self.queue_into(&mut out)?;
+        Some(out)
+    }
+
+    /// Reads one queue component into `out` (cleared first), reusing its
+    /// allocation.
+    pub fn queue_into(&mut self, out: &mut Vec<i64>) -> Option<()> {
         let len = read_varint(self.buf, &mut self.pos)? as usize;
         // Guard against corrupt lengths.
         if len > self.buf.len().saturating_sub(self.pos).saturating_add(1) * 10 {
             return None;
         }
-        let mut out = Vec::with_capacity(len.min(1024));
+        out.clear();
+        out.reserve(len.min(1024));
         for _ in 0..len {
             out.push(unzigzag(read_varint(self.buf, &mut self.pos)?));
         }
-        Some(out)
+        Some(())
     }
 
     /// Whether all bytes have been consumed.

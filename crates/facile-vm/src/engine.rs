@@ -12,15 +12,14 @@
 //! ```
 
 use crate::fast::{fast_run, FastOutcome, ReplayScratch};
-use crate::recovery::{recover, RecoveryError};
-use crate::slow::{slow_step, Position, Recording, StepOutcome};
-use crate::state::{ExtFn, MachineState, Store};
+use crate::recovery::{recover_in, RecoveryError};
+use crate::slow::{seed_params, slow_step, Exit, Recorder, SlowScratch};
+use crate::state::{ExtFn, MachineState, ShadowState};
 use crate::supertrace::{SuperTraceSet, TraceStats};
 use facile_codegen::CompiledStep;
-use facile_ir::ir::Loc;
 use facile_obs::{BurstExit, BurstRecord, EngineTag, EpochRecord, ObsHandle, TraceEvent};
 use facile_runtime::cache::{ActionCache, CachePolicy, Cursor, NodeId};
-use facile_runtime::key::{Key, KeyReader, KeyWriter};
+use facile_runtime::key::{Key, KeyWriter};
 use facile_runtime::{CacheStats, Engine, HaltReason, SimStats, Target};
 use facile_sema::Type;
 
@@ -108,12 +107,18 @@ fn obs_tag(e: Engine) -> EngineTag {
 }
 
 enum Mode {
-    /// Run a slow step for this key.
+    /// Run a step for this key, which came from outside the slow engine
+    /// (the initial arguments, or a fast-engine boundary): `main`'s
+    /// parameters must be seeded from it.
     Slow(Key),
+    /// Run the step whose arguments the last slow step's `next(...)`
+    /// already wrote into `main`'s parameters; when memoizing, its key
+    /// is in the slow scratch.
+    Next,
     /// Replay from this node (its entry key lives in `Simulation::fast_key`).
     Fast(NodeId),
-    /// Resume slow execution mid-step after a recovery.
-    SlowResume(Position),
+    /// Resume slow execution at this slow-program pc after a recovery.
+    SlowResume(u32),
     /// Simulation over.
     Done,
 }
@@ -144,7 +149,7 @@ struct EpochState {
 
 /// A running fast-forwarding simulation.
 ///
-/// The compiled step function is held behind an [`Arc`]: it is
+/// The compiled step function is held behind an [`Arc`](std::sync::Arc): it is
 /// immutable after compilation, so N concurrent simulations of the same
 /// simulator share one action table and one debug-info table instead of
 /// carrying N copies. Everything mutable — machine state, action cache,
@@ -163,6 +168,10 @@ pub struct Simulation {
     fast_key: Key,
     /// Reusable replay buffers (see [`ReplayScratch`]).
     scratch: ReplayScratch,
+    /// Reusable slow-engine buffers (see [`SlowScratch`]).
+    slow: SlowScratch,
+    /// The recovery shadow store, built at the first miss and reused.
+    shadow: Option<ShadowState>,
     /// Compiled supertraces + hotness bookkeeping (see
     /// [`crate::supertrace`]).
     traces: SuperTraceSet,
@@ -221,7 +230,8 @@ impl Simulation {
         let key = w.finish();
         let cache = ActionCache::with_policy(options.cache_capacity, options.cache_policy);
         let warm_digest = target.code_digest() ^ target.mem.digest().rotate_left(32);
-        let st = MachineState::new(&step.ir, target);
+        let mut st = MachineState::new(&step.ir, target);
+        st.install_consts(&step.slow);
         Ok(Simulation {
             cursor: Cursor::AtEntry(key.clone()),
             mode: Mode::Slow(key),
@@ -231,6 +241,8 @@ impl Simulation {
             cache,
             fast_key: Key::default(),
             scratch: ReplayScratch::new(),
+            slow: SlowScratch::default(),
+            shadow: None,
             traces: SuperTraceSet::new(
                 options.supertrace && options.memoize,
                 options.supertrace_threshold,
@@ -336,9 +348,29 @@ impl Simulation {
                             self.cursor = Cursor::AtEntry(key.clone());
                         }
                     }
-                    self.seed_params(&key);
+                    let (frame, _) = self.st.split();
+                    seed_params(&self.step.slow, frame, &key, &mut self.slow.vals);
                     steps += 1;
-                    self.run_slow_from(Position::entry(&self.step));
+                    self.run_slow_from(0);
+                }
+                Mode::Next => {
+                    // The same hand-off, keyed by the bytes the recording
+                    // `next(...)` built: no key is materialized unless the
+                    // fast engine takes over or a clear resets the cursor.
+                    if self.memoize {
+                        let key = self.slow.key.bytes();
+                        if let Some(entry) = self.cache.entry_bytes(key) {
+                            self.cache.link_existing(&self.cursor, entry);
+                            self.fast_key.set_from_bytes(key);
+                            self.mode = Mode::Fast(entry);
+                            continue;
+                        }
+                        if !self.cache.reclaim(&self.cursor) {
+                            self.cursor = Cursor::AtEntry(Key::from_bytes(key));
+                        }
+                    }
+                    steps += 1;
+                    self.run_slow_from(0);
                 }
                 Mode::SlowResume(pos) => {
                     steps += 1;
@@ -472,9 +504,14 @@ impl Simulation {
                             self.mode = Mode::Slow(key);
                         }
                         FastOutcome::Miss { cursor } => {
-                            match recover(
+                            let shadow = self
+                                .shadow
+                                .get_or_insert_with(|| ShadowState::new(&self.step));
+                            match recover_in(
                                 &self.step,
                                 &mut self.st,
+                                shadow,
+                                &mut self.slow,
                                 &self.fast_key,
                                 &self.scratch.replayed,
                             ) {
@@ -594,9 +631,9 @@ impl Simulation {
         self.epoch_close(total);
     }
 
-    /// Runs one slow step (recording if memoization is on) and updates the
-    /// mode from its outcome.
-    fn run_slow_from(&mut self, pos: Position) {
+    /// Runs one slow step from slow-program pc `pc` (recording if
+    /// memoization is on) and updates the mode from its outcome.
+    fn run_slow_from(&mut self, pc: u32) {
         self.note_engine(Engine::Slow);
         self.st.engine = Engine::Slow;
         let before = self
@@ -604,22 +641,16 @@ impl Simulation {
             .obs
             .enabled()
             .then(|| (std::time::Instant::now(), self.st.stats.insns));
-        let rec = if self.memoize {
-            Some(Recording {
-                cache: &mut self.cache,
-                cursor: &mut self.cursor,
-            })
-        } else {
-            None
-        };
-        match slow_step(&self.step, &mut self.st, rec, pos) {
-            StepOutcome::Halted => {
-                self.mode = Mode::Done;
-            }
-            StepOutcome::Next(key) => {
+        let rec = self.memoize.then_some(Recorder {
+            cache: &mut self.cache,
+            cursor: &mut self.cursor,
+        });
+        match slow_step(&self.step.slow, &mut self.st, &mut self.slow, rec, pc) {
+            Exit::Next => {
                 self.st.stats.slow_steps = self.st.stats.slow_steps.saturating_add(1);
-                self.mode = Mode::Slow(key);
+                self.mode = Mode::Next;
             }
+            _ => self.mode = Mode::Done,
         }
         if let Some((t0, insns0)) = before {
             self.st.obs.emit(TraceEvent::SlowStep {
@@ -629,24 +660,6 @@ impl Simulation {
             });
         }
         self.epoch_tick();
-    }
-
-    /// Writes `main`'s parameters into the real state from a key.
-    fn seed_params(&mut self, key: &Key) {
-        let Simulation { step, st, .. } = self;
-        let mut r = KeyReader::new(key);
-        for (p, t) in step.ir.main.params.iter().zip(step.param_types.iter()) {
-            match t {
-                Type::Queue => {
-                    let vals = r.queue().expect("key matches parameter types");
-                    st.agg_mut(Loc::Var(*p)).load_values(&vals);
-                }
-                _ => {
-                    let v = r.scalar().expect("key matches parameter types");
-                    st.set_reg(*p, v);
-                }
-            }
-        }
     }
 
     /// Releases memoized state down to roughly `target_bytes` right

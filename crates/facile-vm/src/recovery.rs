@@ -8,9 +8,10 @@
 //! *recovery stack*; §6.3 (optimization 2) proposes compiling this mode as
 //! a separate function.
 //!
-//! This module implements that separate recovery engine: it re-executes
-//! only the run-time-static slice of the step — on a fresh
-//! [`ShadowState`], reading nothing from the real state — steering
+//! Here that separate function is the slow engine's op program run in
+//! its recovery mode ([`crate::slow`]): it re-executes only the
+//! run-time-static slice of the step — on a shadow store re-seeded from
+//! the entry key, reading nothing from the real state — steering
 //! through dynamic result tests with the recorded values. When the
 //! recovery stack is exhausted (the miss point), every shadow slot that is
 //! run-time static *at that point* is committed to the real state, and
@@ -18,34 +19,13 @@
 //! fast engine wrote, which is exactly the paper's hand-off of dynamic
 //! data through shared storage.
 
-use crate::exec::{exec_fetch, exec_value_inst};
 use crate::fast::Replayed;
-use crate::slow::Position;
-use crate::state::{AggLayout, AggStorage, MachineState, ShadowState, Store};
-use facile_codegen::{Closes, CompiledStep, Resume};
-use facile_ir::ir::{Inst, Loc, Terminator, VarKind};
-use facile_obs::{ObsHandle, TraceEvent};
-use facile_runtime::key::{Key, KeyReader};
-use facile_sema::Type;
-
-/// Mutable views of the real state's value slots, split from the layout
-/// and target so the shadow can share the latter.
-struct RealSlots<'a> {
-    regs: &'a mut [i64],
-    var_aggs: &'a mut [AggStorage],
-    gscalars: &'a mut [i64],
-    gaggs: &'a mut [AggStorage],
-    layout: &'a AggLayout,
-}
-
-impl RealSlots<'_> {
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
-    }
-}
+use crate::slow::{run, seed_params, Exit, SlowScratch, RECOVER};
+use crate::state::{MachineState, ShadowState};
+use facile_codegen::CompiledStep;
+use facile_ir::ir::VarKind;
+use facile_obs::TraceEvent;
+use facile_runtime::key::Key;
 
 /// How a recovery attempt failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +39,9 @@ pub enum RecoveryErrorKind {
         /// Action number found on the recovery stack.
         found: u32,
     },
-    /// The step returned before the stack was consumed (extra trailing
-    /// items — the dual of [`Underflow`](Self::Underflow)).
+    /// The step reached its end (or its INDEX action) before the stack
+    /// was consumed (extra trailing items — the dual of
+    /// [`Underflow`](Self::Underflow)).
     Overrun,
 }
 
@@ -97,7 +78,7 @@ impl std::fmt::Display for RecoveryError {
             ),
             RecoveryErrorKind::Overrun => write!(
                 f,
-                "recovery stack overrun: step returned with items left (step {}, depth {})",
+                "recovery stack overrun: step ended with items left (step {}, depth {})",
                 self.step, self.depth
             ),
         }
@@ -106,266 +87,77 @@ impl std::fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Re-executes the run-time-static slice and commits it; returns where
-/// normal slow execution resumes.
+/// Re-executes the run-time-static slice and commits it; returns the pc
+/// of the step's slow program where normal slow execution resumes.
+///
+/// This convenience entry builds a fresh shadow store; the simulation
+/// driver keeps one and reuses it across recoveries.
 ///
 /// # Errors
 ///
 /// Returns a [`RecoveryError`] if the recovery stack disagrees with the
-/// recorded action numbers (underflow or action mismatch). The real
-/// state is untouched in that case — commits only happen at the final
-/// consistent item — so the driver can surface a diagnosed fault.
+/// recorded action numbers (underflow, action mismatch or overrun). The
+/// real state is untouched in that case — commits only happen at the
+/// final consistent item — so the driver can surface a diagnosed fault.
 pub fn recover(
     step: &CompiledStep,
     st: &mut MachineState,
     entry_key: &Key,
     replayed: &[Replayed],
-) -> Result<Position, RecoveryError> {
-    assert!(!replayed.is_empty(), "recovery needs at least the miss action");
-    let obs = st.obs.clone();
+) -> Result<u32, RecoveryError> {
+    let mut shadow = ShadowState::new(step);
+    recover_in(
+        step,
+        st,
+        &mut shadow,
+        &mut SlowScratch::default(),
+        entry_key,
+        replayed,
+    )
+}
+
+/// [`recover`] on a caller-owned shadow and scratch: the slow program
+/// runs in recovery mode from the step entry on the shadow, seeded from
+/// `entry_key`, and at the miss point every slot that is run-time static
+/// (and live) there is committed to the real state.
+pub(crate) fn recover_in(
+    step: &CompiledStep,
+    st: &mut MachineState,
+    shadow: &mut ShadowState,
+    scratch: &mut SlowScratch,
+    entry_key: &Key,
+    replayed: &[Replayed],
+) -> Result<u32, RecoveryError> {
+    assert!(
+        !replayed.is_empty(),
+        "recovery needs at least the miss action"
+    );
+    let prog = &step.slow;
     let step_no = st.obs_step();
-    if obs.enabled() {
-        obs.emit(TraceEvent::RecoveryBegin {
+    if st.obs.enabled() {
+        st.obs.emit(TraceEvent::RecoveryBegin {
             step: step_no,
             depth: replayed.len() as u64,
         });
     }
-    let MachineState {
-        ref mut regs,
-        ref mut var_aggs,
-        ref mut gscalars,
-        ref mut gaggs,
-        ref layout,
-        ref target,
-        ..
-    } = *st;
-    let mut real = RealSlots {
-        regs,
-        var_aggs,
-        gscalars,
-        gaggs,
-        layout,
+    shadow.reset(prog);
+    seed_params(prog, shadow.frame(), entry_key, &mut scratch.vals);
+    let exit = {
+        let (_, mut world) = st.split();
+        run::<RECOVER>(prog, shadow.frame(), &mut world, scratch, None, replayed, 0)
     };
-    let mut shadow = ShadowState::new(layout, target, &step.ir);
-    seed_params(step, &mut shadow, entry_key);
-
-    let mut block = step.ir.main.entry;
-    let mut ii = 0usize;
-    let mut item = 0usize; // next recovery-stack index
-    // The action of the most recently consumed item, while its group is
-    // still open.
-    let mut current: Option<Replayed> = None;
-
-    loop {
-        let b = &step.ir.main.blocks[block.index()];
-        let annots = &step.blocks[block.index()];
-        while ii < b.insts.len() {
-            let inst = &b.insts[ii];
-            let annot = &annots.insts[ii];
-            if annot.dynamic {
-                if let Some(a) = annot.action_start {
-                    let r = replayed.get(item).ok_or(RecoveryError {
-                        kind: RecoveryErrorKind::Underflow,
-                        action: a,
-                        step: step_no,
-                        depth: replayed.len(),
-                    })?;
-                    if r.action != a {
-                        return Err(RecoveryError {
-                            kind: RecoveryErrorKind::Mismatch {
-                                expected: a,
-                                found: r.action,
-                            },
-                            action: a,
-                            step: step_no,
-                            depth: replayed.len(),
-                        });
-                    }
-                    current = Some(*r);
-                    item += 1;
-                }
-                match annot.closes {
-                    Some(Closes::Verify) => {
-                        let r = current.take().expect("verify closes an open group");
-                        let v = r.value.expect("verify actions record their value");
-                        if let Inst::Verify { dst, .. } = inst {
-                            shadow.set_reg(*dst, v);
-                        }
-                        if item == replayed.len() {
-                            // The miss action: commit and resume after it.
-                            commit(step, &mut real, &shadow, r.action, &obs, step_no);
-                            let Resume::AtInst { block, inst } =
-                                step.actions[r.action as usize].resume
-                            else {
-                                unreachable!("verify resumes at the next instruction")
-                            };
-                            return Ok(Position {
-                                block,
-                                inst: inst as usize,
-                            });
-                        }
-                    }
-                    Some(Closes::Index) => {
-                        unreachable!("INDEX misses are clean boundaries, not recoveries")
-                    }
-                    None => {}
-                }
-                // Dynamic effects were already applied by the fast engine.
-            } else {
-                if !exec_value_inst(inst, &mut shadow) {
-                    match inst {
-                        Inst::FetchToken { dst, stream, token } => exec_fetch(
-                            *dst,
-                            *stream,
-                            step.ir.token_widths[token.index()],
-                            &mut shadow,
-                        ),
-                        other => {
-                            unreachable!("instruction labeled rt-static is not a value op: {other}")
-                        }
-                    }
-                }
-            }
-            ii += 1;
+    match exit {
+        Exit::Resume { pc, action } => {
+            commit(step, st, shadow, action, step_no);
+            Ok(pc)
         }
-
-        // Block end: a plain group that closes here may be the miss point.
-        if annots.term_action.is_none() {
-            if let Some(r) = current.take() {
-                if item == replayed.len() {
-                    commit(step, &mut real, &shadow, r.action, &obs, step_no);
-                    return Ok(Position {
-                        block,
-                        inst: b.insts.len(),
-                    });
-                }
-            }
-        }
-
-        match &b.term {
-            Terminator::Jump(t) => {
-                block = *t;
-                ii = 0;
-            }
-            Terminator::Branch {
-                cond,
-                then_bb,
-                else_bb,
-            } => {
-                let v = if let Some(a) = annots.term_action {
-                    let r = take_term_item(replayed, &mut item, &mut current, a, step_no)?;
-                    let v = r.value.expect("test actions record their value");
-                    if item == replayed.len() {
-                        commit(step, &mut real, &shadow, a, &obs, step_no);
-                        return Ok(Position {
-                            block: if v != 0 { *then_bb } else { *else_bb },
-                            inst: 0,
-                        });
-                    }
-                    v
-                } else {
-                    crate::exec::ev(*cond, &shadow)
-                };
-                block = if v != 0 { *then_bb } else { *else_bb };
-                ii = 0;
-            }
-            Terminator::Switch {
-                val,
-                cases,
-                default,
-            } => {
-                let v = if let Some(a) = annots.term_action {
-                    let r = take_term_item(replayed, &mut item, &mut current, a, step_no)?;
-                    let v = r.value.expect("test actions record their value");
-                    if item == replayed.len() {
-                        commit(step, &mut real, &shadow, a, &obs, step_no);
-                        let target = cases
-                            .iter()
-                            .find(|(c, _)| *c == v)
-                            .map(|&(_, t)| t)
-                            .unwrap_or(*default);
-                        return Ok(Position {
-                            block: target,
-                            inst: 0,
-                        });
-                    }
-                    v
-                } else {
-                    crate::exec::ev(*val, &shadow)
-                };
-                block = cases
-                    .iter()
-                    .find(|(c, _)| *c == v)
-                    .map(|&(_, t)| t)
-                    .unwrap_or(*default);
-                ii = 0;
-            }
-            Terminator::Return => {
-                // With a consistent stack the miss action always commits
-                // before the step returns; reaching here means the stack
-                // carried extra trailing items.
-                return Err(RecoveryError {
-                    kind: RecoveryErrorKind::Overrun,
-                    action: replayed[replayed.len() - 1].action,
-                    step: step_no,
-                    depth: replayed.len(),
-                });
-            }
-        }
-    }
-}
-
-/// Consumes the recovery item for a dynamic terminator. The item is the
-/// open group's (if the terminator closed an open action) or a fresh one.
-fn take_term_item(
-    replayed: &[Replayed],
-    item: &mut usize,
-    current: &mut Option<Replayed>,
-    action: u32,
-    step_no: u64,
-) -> Result<Replayed, RecoveryError> {
-    let mismatch = |found: u32| RecoveryError {
-        kind: RecoveryErrorKind::Mismatch {
-            expected: action,
-            found,
-        },
-        action,
-        step: step_no,
-        depth: replayed.len(),
-    };
-    if let Some(r) = current.take() {
-        if r.action != action {
-            return Err(mismatch(r.action));
-        }
-        return Ok(r);
-    }
-    let r = replayed.get(*item).ok_or(RecoveryError {
-        kind: RecoveryErrorKind::Underflow,
-        action,
-        step: step_no,
-        depth: replayed.len(),
-    })?;
-    if r.action != action {
-        return Err(mismatch(r.action));
-    }
-    *item += 1;
-    Ok(*r)
-}
-
-/// Writes `main`'s parameters into the shadow from the entry key.
-fn seed_params(step: &CompiledStep, shadow: &mut ShadowState<'_>, key: &Key) {
-    let mut r = KeyReader::new(key);
-    for (p, t) in step.ir.main.params.iter().zip(&step.param_types) {
-        match t {
-            Type::Queue => {
-                let vals = r.queue().expect("key decodes per the parameter types");
-                shadow.agg_mut(Loc::Var(*p)).load_values(&vals);
-            }
-            _ => {
-                let v = r.scalar().expect("key decodes per the parameter types");
-                shadow.set_reg(*p, v);
-            }
-        }
+        Exit::Fault { kind, action } => Err(RecoveryError {
+            kind,
+            action,
+            step: step_no,
+            depth: replayed.len(),
+        }),
+        Exit::Next | Exit::Halted => unreachable!("recovery skips every effectful op"),
     }
 }
 
@@ -374,34 +166,33 @@ fn seed_params(step: &CompiledStep, shadow: &mut ShadowState<'_>, key: &Key) {
 /// recovery (with the number of slots committed) to the observer.
 fn commit(
     step: &CompiledStep,
-    real: &mut RealSlots<'_>,
-    shadow: &ShadowState<'_>,
+    st: &mut MachineState,
+    shadow: &ShadowState,
     action: u32,
-    obs: &ObsHandle,
     step_no: u64,
 ) {
     let code = &step.actions[action as usize];
     for &v in code.known_vars_after.iter() {
-        real.regs[v.index()] = shadow.reg(v);
+        st.regs[v.index()] = shadow.regs[v.index()];
     }
     for &v in code.known_aggs_after.iter() {
-        let src = shadow.agg(Loc::Var(v));
-        real.agg_mut(Loc::Var(v)).copy_from(src);
+        let slot = st.layout.var_slot[v.index()] as usize;
+        st.aggs[slot].copy_from(&shadow.aggs[slot]);
     }
     for &g in code.known_globals_after.iter() {
         match step.ir.globals[g.index()].kind() {
-            VarKind::Scalar => real.gscalars[g.index()] = shadow.gscalar(g),
+            VarKind::Scalar => st.gscalars[g.index()] = shadow.gscalars[g.index()],
             _ => {
-                let src = shadow.agg(Loc::Global(g));
-                real.agg_mut(Loc::Global(g)).copy_from(src);
+                let slot = st.layout.global_slot[g.index()] as usize;
+                st.aggs[slot].copy_from(&shadow.aggs[slot]);
             }
         }
     }
-    if obs.enabled() {
+    if st.obs.enabled() {
         let committed = code.known_vars_after.len()
             + code.known_aggs_after.len()
             + code.known_globals_after.len();
-        obs.emit(TraceEvent::RecoveryEnd {
+        st.obs.emit(TraceEvent::RecoveryEnd {
             step: step_no,
             action,
             committed: committed as u64,

@@ -4,12 +4,15 @@
 //! computes everything on it; the fast engine applies only dynamic
 //! effects (run-time-static state is implicit in the recorded
 //! placeholders); miss recovery recomputes the run-time-static slice on a
-//! separate [`ShadowState`] and commits it back. Because both engines use
+//! separate shadow store and commits it back. Because both engines use
 //! the *same* variable numbering, dynamic values written by the fast
 //! engine are directly visible when the slow engine takes over — the
 //! paper's "dynamic data to be passed from the fast simulator to the slow
-//! simulator" (§3.2).
+//! simulator" (§3.2). Aggregates of variables and globals share one pool,
+//! numbered by [`AggLayout`] — the numbering the slow program's
+//! aggregate operands were resolved against.
 
+use facile_codegen::{AggLayout, CompiledStep, SlowProgram};
 use facile_ir::ir::{GlobalInit, IrProgram, Loc, QueueOp, VarId, VarKind};
 use facile_obs::{ObsHandle, TraceEvent};
 use facile_runtime::{Engine, HaltReason, SimStats, Target};
@@ -199,105 +202,90 @@ impl Iterator for AggIter<'_> {
 
 impl ExactSizeIterator for AggIter<'_> {}
 
-/// Read/write access to registers, globals, aggregates and target text —
-/// the subset of state that run-time-static code touches. Implemented by
-/// both the real [`MachineState`] and the recovery [`ShadowState`].
-pub trait Store {
-    /// Reads a scalar register.
-    fn reg(&self, v: VarId) -> i64;
-    /// Writes a scalar register.
-    fn set_reg(&mut self, v: VarId, val: i64);
-    /// Reads a scalar global.
-    fn gscalar(&self, g: GlobalId) -> i64;
-    /// Writes a scalar global.
-    fn set_gscalar(&mut self, g: GlobalId, val: i64);
-    /// Mutable access to an aggregate.
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage;
-    /// Shared access to an aggregate.
-    fn agg(&self, loc: Loc) -> &AggStorage;
-    /// Fetches a token word from the (immutable) target text.
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64;
-    /// Copies one aggregate onto another (handles the aliasing borrow).
-    fn agg_copy(&mut self, dst: Loc, src: Loc) {
-        if dst == src {
-            return;
-        }
-        let snapshot = self.agg(src).clone();
-        self.agg_mut(dst).copy_from(&snapshot);
-    }
-}
-
 /// An external (Rust) function callable from Facile. `Send` so a fully
 /// wired simulation can move to a batch worker thread; hosts share
 /// their component state through `Arc<Mutex<_>>` (uncontended — each
 /// simulation owns its components).
 pub type ExtFn = Box<dyn FnMut(&[i64]) -> i64 + Send>;
 
-/// Maps variables/globals to aggregate slots.
-#[derive(Clone, Debug)]
-pub struct AggLayout {
-    /// Per-variable slot into the variable aggregate pool (`u32::MAX` for
-    /// scalars).
-    pub var_slot: Vec<u32>,
-    /// Per-global slot into the global aggregate pool.
-    pub global_slot: Vec<u32>,
+/// Builds the initial aggregate pool of `ir` in [`AggLayout`] order:
+/// arrays zero-filled (globals: their declared fill), queues empty.
+fn initial_aggs(ir: &IrProgram) -> Vec<AggStorage> {
+    let vars = ir.main.vars.iter().filter_map(|v| match v.kind {
+        VarKind::Scalar => None,
+        VarKind::Array(n) => Some(AggStorage::Array(vec![0; n as usize])),
+        VarKind::Queue => Some(AggStorage::Queue(VecDeque::new())),
+    });
+    let globals = ir.globals.iter().filter_map(|g| match g.init {
+        GlobalInit::Scalar(_) => None,
+        GlobalInit::Array { size, fill } => Some(AggStorage::Array(vec![fill; size as usize])),
+        GlobalInit::Queue => Some(AggStorage::Queue(VecDeque::new())),
+    });
+    vars.chain(globals).collect()
 }
 
-impl AggLayout {
-    /// Builds the layout and initial pools for `ir`.
-    pub fn new(ir: &IrProgram) -> (AggLayout, Vec<AggStorage>, Vec<AggStorage>) {
-        let mut var_slot = vec![u32::MAX; ir.main.vars.len()];
-        let mut var_pool = Vec::new();
-        for (i, v) in ir.main.vars.iter().enumerate() {
-            match v.kind {
-                VarKind::Scalar => {}
-                VarKind::Array(n) => {
-                    var_slot[i] = var_pool.len() as u32;
-                    var_pool.push(AggStorage::Array(vec![0; n as usize]));
-                }
-                VarKind::Queue => {
-                    var_slot[i] = var_pool.len() as u32;
-                    var_pool.push(AggStorage::Queue(VecDeque::new()));
-                }
-            }
+/// Mutable views of one value store — registers, scalar globals and the
+/// aggregate pool — as the slow-engine core executes on them: the real
+/// state's, or a recovery shadow's.
+pub(crate) struct Frame<'a> {
+    pub regs: &'a mut [i64],
+    pub gscalars: &'a mut [i64],
+    pub aggs: &'a mut [AggStorage],
+}
+
+/// Everything of the machine state outside its value store: the effects
+/// of external calls, memory, counters, halts and traces.
+pub(crate) struct World<'a> {
+    pub target: &'a mut Target,
+    pub stats: &'a mut SimStats,
+    pub engine: Engine,
+    pub halted: &'a mut Option<HaltReason>,
+    trace: &'a mut Vec<i64>,
+    trace_dropped: &'a mut u64,
+    externals: &'a mut [ExtFn],
+    pub obs: &'a ObsHandle,
+}
+
+impl World<'_> {
+    /// Logical timestamp for trace events: steps completed so far.
+    pub fn obs_step(&self) -> u64 {
+        self.stats.fast_steps.saturating_add(self.stats.slow_steps)
+    }
+
+    /// Emits a trace value.
+    pub fn push_trace(&mut self, v: i64) {
+        if self.trace.len() < TRACE_CAP {
+            self.trace.push(v);
+        } else {
+            *self.trace_dropped += 1;
         }
-        let mut global_slot = vec![u32::MAX; ir.globals.len()];
-        let mut global_pool = Vec::new();
-        for (i, g) in ir.globals.iter().enumerate() {
-            match g.init {
-                GlobalInit::Scalar(_) => {}
-                GlobalInit::Array { size, fill } => {
-                    global_slot[i] = global_pool.len() as u32;
-                    global_pool.push(AggStorage::Array(vec![fill; size as usize]));
-                }
-                GlobalInit::Queue => {
-                    global_slot[i] = global_pool.len() as u32;
-                    global_pool.push(AggStorage::Queue(VecDeque::new()));
-                }
-            }
+    }
+
+    /// Calls external `ext` with `args`.
+    pub fn call_ext(&mut self, ext: usize, args: &[i64]) -> i64 {
+        self.stats.ext_calls = self.stats.ext_calls.saturating_add(1);
+        if self.obs.enabled() {
+            self.obs.emit(TraceEvent::ExtCall {
+                step: self.obs_step(),
+                ext: ext as u32,
+            });
         }
-        (
-            AggLayout {
-                var_slot,
-                global_slot,
-            },
-            var_pool,
-            global_pool,
-        )
+        (self.externals[ext])(args)
     }
 }
 
 /// The authoritative simulation state.
 pub struct MachineState {
-    /// Scalar registers, one per IR variable.
+    /// The register file: one slot per IR variable, then (once a
+    /// simulation installs them) the slow program's constant pool and
+    /// sink slot.
     pub regs: Vec<i64>,
-    /// Aggregate storage for aggregate variables.
-    pub var_aggs: Vec<AggStorage>,
     /// Scalar global values.
     pub gscalars: Vec<i64>,
-    /// Aggregate storage for aggregate globals.
-    pub gaggs: Vec<AggStorage>,
-    /// Slot layout shared with the shadow state.
+    /// Aggregate storage of variables and globals, in [`AggLayout`]
+    /// order.
+    pub aggs: Vec<AggStorage>,
+    /// Slot layout of the aggregate pool.
     pub layout: AggLayout,
     /// The loaded target (text + data memory).
     pub target: Target,
@@ -325,7 +313,6 @@ impl MachineState {
     /// Creates the state for a compiled program over a loaded target.
     /// External functions start unbound (calls return 0 and count).
     pub fn new(ir: &IrProgram, target: Target) -> Self {
-        let (layout, var_aggs, gaggs) = AggLayout::new(ir);
         let gscalars = ir
             .globals
             .iter()
@@ -341,10 +328,9 @@ impl MachineState {
             .collect();
         MachineState {
             regs: vec![0; ir.main.vars.len()],
-            var_aggs,
             gscalars,
-            gaggs,
-            layout,
+            aggs: initial_aggs(ir),
+            layout: AggLayout::new(ir),
             target,
             stats: SimStats::default(),
             engine: Engine::Slow,
@@ -356,6 +342,35 @@ impl MachineState {
         }
     }
 
+    /// Extends the register file with `prog`'s constant pool and sink
+    /// slot, which the slow engine reads like any variable.
+    pub(crate) fn install_consts(&mut self, prog: &SlowProgram) {
+        self.regs.truncate(prog.n_vars as usize);
+        self.regs.extend_from_slice(&prog.consts);
+        self.regs.push(0);
+    }
+
+    /// Splits the state into its value store and the rest.
+    pub(crate) fn split(&mut self) -> (Frame<'_>, World<'_>) {
+        (
+            Frame {
+                regs: &mut self.regs,
+                gscalars: &mut self.gscalars,
+                aggs: &mut self.aggs,
+            },
+            World {
+                target: &mut self.target,
+                stats: &mut self.stats,
+                engine: self.engine,
+                halted: &mut self.halted,
+                trace: &mut self.trace,
+                trace_dropped: &mut self.trace_dropped,
+                externals: &mut self.externals,
+                obs: &self.obs,
+            },
+        )
+    }
+
     /// Logical timestamp for trace events: steps completed so far.
     pub fn obs_step(&self) -> u64 {
         self.stats.fast_steps.saturating_add(self.stats.slow_steps)
@@ -363,118 +378,121 @@ impl MachineState {
 
     /// Emits a trace value.
     pub fn push_trace(&mut self, v: i64) {
-        if self.trace.len() < TRACE_CAP {
-            self.trace.push(v);
-        } else {
-            self.trace_dropped += 1;
-        }
+        self.split().1.push_trace(v);
     }
 
     /// Calls external `ext` with `args`.
     pub fn call_ext(&mut self, ext: usize, args: &[i64]) -> i64 {
-        self.stats.ext_calls = self.stats.ext_calls.saturating_add(1);
-        if self.obs.enabled() {
-            self.obs.emit(TraceEvent::ExtCall {
-                step: self.obs_step(),
-                ext: ext as u32,
-            });
-        }
-        (self.externals[ext])(args)
+        self.split().1.call_ext(ext, args)
     }
-}
 
-impl Store for MachineState {
-    fn reg(&self, v: VarId) -> i64 {
+    /// Reads a scalar register.
+    pub fn reg(&self, v: VarId) -> i64 {
         self.regs[v.index()]
     }
-    fn set_reg(&mut self, v: VarId, val: i64) {
+
+    /// Writes a scalar register.
+    pub fn set_reg(&mut self, v: VarId, val: i64) {
         self.regs[v.index()] = val;
     }
-    fn gscalar(&self, g: GlobalId) -> i64 {
+
+    /// Reads a scalar global.
+    pub fn gscalar(&self, g: GlobalId) -> i64 {
         self.gscalars[g.index()]
     }
-    fn set_gscalar(&mut self, g: GlobalId, val: i64) {
+
+    /// Writes a scalar global.
+    pub fn set_gscalar(&mut self, g: GlobalId, val: i64) {
         self.gscalars[g.index()] = val;
     }
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
+
+    /// Shared access to an aggregate.
+    pub fn agg(&self, loc: Loc) -> &AggStorage {
+        &self.aggs[self.layout.slot(loc) as usize]
     }
-    fn agg(&self, loc: Loc) -> &AggStorage {
-        match loc {
-            Loc::Var(v) => &self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &self.gaggs[self.layout.global_slot[g.index()] as usize],
-        }
+
+    /// Mutable access to an aggregate.
+    pub fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
+        &mut self.aggs[self.layout.slot(loc) as usize]
     }
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
+
+    /// Copies one aggregate onto another.
+    pub fn agg_copy(&mut self, dst: Loc, src: Loc) {
+        copy_agg(
+            &mut self.aggs,
+            self.layout.slot(dst) as usize,
+            self.layout.slot(src) as usize,
+        );
+    }
+
+    /// Fetches a token word from the (immutable) target text.
+    pub fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
         self.target.fetch_token(addr as u64, bits) as i64
     }
 }
 
-/// Recovery shadow: same shapes as the machine, plus a borrowed target
-/// for token fetches. Run-time-static recomputation happens here; the
-/// commit copies known slots back to the real state (see
-/// `facile-vm::recovery`).
-pub struct ShadowState<'a> {
-    /// Shadow registers.
-    pub regs: Vec<i64>,
-    /// Shadow aggregate pool (variables).
-    pub var_aggs: Vec<AggStorage>,
+/// Copies pool slot `src` onto `dst` without cloning (a no-op when they
+/// coincide).
+pub(crate) fn copy_agg(aggs: &mut [AggStorage], dst: usize, src: usize) {
+    if dst < src {
+        let (lo, hi) = aggs.split_at_mut(src);
+        lo[dst].copy_from(&hi[0]);
+    } else if src < dst {
+        let (lo, hi) = aggs.split_at_mut(dst);
+        hi[0].copy_from(&lo[src]);
+    }
+}
+
+/// Recovery shadow: a value store shaped like the machine's, re-seeded
+/// before every recovery. Run-time-static recomputation happens here;
+/// the commit copies known slots back to the real state (see
+/// `facile-vm::recovery`). A simulation keeps one and reuses its
+/// buffers, so recoveries stop allocating once they have warmed up.
+pub(crate) struct ShadowState {
+    /// Shadow registers (variables, constant pool, sink).
+    pub(crate) regs: Vec<i64>,
     /// Shadow scalar globals.
-    pub gscalars: Vec<i64>,
-    /// Shadow aggregate pool (globals).
-    pub gaggs: Vec<AggStorage>,
-    /// Shared layout.
-    pub layout: &'a AggLayout,
-    /// The target, for run-time-static token fetches.
-    pub target: &'a Target,
+    pub(crate) gscalars: Vec<i64>,
+    /// Shadow aggregate pool.
+    pub(crate) aggs: Vec<AggStorage>,
+    /// The pristine pool `reset` restores.
+    init: Vec<AggStorage>,
 }
 
-impl<'a> ShadowState<'a> {
-    /// Builds a shadow with fresh storage shaped like `ir`, sharing the
-    /// real state's layout and target.
-    pub fn new(layout: &'a AggLayout, target: &'a Target, ir: &IrProgram) -> Self {
-        let (_, var_aggs, gaggs) = AggLayout::new(ir);
+impl ShadowState {
+    /// Builds a fresh shadow for `step`.
+    pub(crate) fn new(step: &CompiledStep) -> Self {
+        let mut regs = vec![0; step.ir.main.vars.len()];
+        regs.extend_from_slice(&step.slow.consts);
+        regs.push(0);
+        let init = initial_aggs(&step.ir);
         ShadowState {
-            regs: vec![0; ir.main.vars.len()],
-            var_aggs,
-            gscalars: vec![0; ir.globals.len()],
-            gaggs,
-            layout,
-            target,
+            regs,
+            gscalars: vec![0; step.ir.globals.len()],
+            aggs: init.clone(),
+            init,
         }
     }
-}
 
-impl Store for ShadowState<'_> {
-    fn reg(&self, v: VarId) -> i64 {
-        self.regs[v.index()]
-    }
-    fn set_reg(&mut self, v: VarId, val: i64) {
-        self.regs[v.index()] = val;
-    }
-    fn gscalar(&self, g: GlobalId) -> i64 {
-        self.gscalars[g.index()]
-    }
-    fn set_gscalar(&mut self, g: GlobalId, val: i64) {
-        self.gscalars[g.index()] = val;
-    }
-    fn agg_mut(&mut self, loc: Loc) -> &mut AggStorage {
-        match loc {
-            Loc::Var(v) => &mut self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &mut self.gaggs[self.layout.global_slot[g.index()] as usize],
+    /// Restores the freshly built state (variables and globals zero,
+    /// aggregates initial) without reallocating.
+    pub(crate) fn reset(&mut self, prog: &SlowProgram) {
+        let n = prog.n_vars as usize;
+        self.regs[..n].fill(0);
+        self.regs[prog.sink() as usize] = 0;
+        self.gscalars.fill(0);
+        for (a, i) in self.aggs.iter_mut().zip(&self.init) {
+            a.copy_from(i);
         }
     }
-    fn agg(&self, loc: Loc) -> &AggStorage {
-        match loc {
-            Loc::Var(v) => &self.var_aggs[self.layout.var_slot[v.index()] as usize],
-            Loc::Global(g) => &self.gaggs[self.layout.global_slot[g.index()] as usize],
+
+    /// The shadow's value store.
+    pub(crate) fn frame(&mut self) -> Frame<'_> {
+        Frame {
+            regs: &mut self.regs,
+            gscalars: &mut self.gscalars,
+            aggs: &mut self.aggs,
         }
-    }
-    fn fetch_token(&self, addr: i64, bits: u32) -> i64 {
-        self.target.fetch_token(addr as u64, bits) as i64
     }
 }
 

@@ -9,7 +9,7 @@
 //! covering >90% of fast-path instructions. When a burst-entry node
 //! accumulates enough replayed steps (replay count × chain length), its
 //! action records are *linearized* out of the cache's slab into one
-//! contiguous [`SuperTrace`] buffer:
+//! contiguous `SuperTrace` buffer:
 //!
 //! * successor lookups disappear — the next action is structurally the
 //!   next trace op; dynamic result tests become straight-line **guards**
@@ -31,7 +31,7 @@
 //! counters, chain-signature folding and dispatch telemetry. A failed
 //! guard therefore simply re-resolves through the ordinary cache lookup
 //! — a different test value follows `next_test_hot`, a different INDEX
-//! signature falls back to [`crate::fast::index_advance`] — and hands
+//! signature falls back to `fast::index_advance` — and hands
 //! the resulting node back to the generic loop. Misses, budget
 //! exhaustion and halts produce the same [`FastOutcome`]s the generic
 //! loop would.
@@ -52,7 +52,7 @@ use crate::fast::{
     dynamic_signature, eval_foperand, exec_fop, index_advance, materialize_entry_key, note_miss,
     FastOutcome, IndexStep, Replayed, ReplayScratch,
 };
-use crate::state::{MachineState, Store};
+use crate::state::MachineState;
 use facile_codegen::{ActionKind, CompiledStep, FOperand};
 use facile_obs::{fold_sig, CHAIN_DEPTH};
 use facile_runtime::cache::{ActionCache, Cursor, NodeId};

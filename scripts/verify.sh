@@ -8,7 +8,9 @@
 # `facilec --run --metrics-out` emits a parseable facile-obs/v1 document,
 # and gates the fast-replay hot path: a small fig11 workload must
 # fast-forward at least as much as the seed did, steady-state replay
-# must be allocation-free (docs/PERFORMANCE.md), and superaction
+# must be allocation-free (docs/PERFORMANCE.md), steady-state slow steps
+# must allocate nothing with memoization off and only for cache growth
+# while recording, and superaction
 # compilation must be architecturally invisible (supertrace on/off and
 # slow-only runs produce bit-identical results and digests). The replay flight
 # recorder must pass the sim_hot --check recount on single runs and on
@@ -28,17 +30,11 @@ cd "$(dirname "$0")/.."
 echo "==> tier-1: cargo build --release (offline)"
 cargo build --release --offline
 
-echo "==> tier-1: cargo test -q (offline)"
+echo "==> tier-1: cargo test -q (offline; default members = the whole workspace)"
 cargo test -q --offline
 
 echo "==> workspace: cargo build --release --workspace (offline)"
 cargo build --release --offline --workspace
-
-echo "==> workspace: cargo test -q --workspace (offline)"
-cargo test -q --offline --workspace
-
-echo "==> cargo check --features bench-ext (offline)"
-cargo check -q --offline --features bench-ext
 
 echo "==> clippy -D warnings on instrumented crates (offline)"
 cargo clippy --offline -q \
@@ -173,6 +169,9 @@ awk 'BEGIN { ok = 0 }
 
 echo "==> perf smoke: steady-state replay is allocation-free"
 cargo test -q --offline -p facile-vm --test alloc_free_replay
+
+echo "==> perf smoke: slow steps allocate nothing (memo off) or only for cache growth"
+cargo test -q --offline -p facile-vm --test alloc_free_slow
 
 echo "==> smoke: batch merged documents pass the exactness gate"
 # Four jobs over one compiled step on four worker threads; the merged

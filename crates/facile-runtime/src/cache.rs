@@ -14,51 +14,32 @@
 //! to the slow simulator (an *action-cache miss*, paper §2.1).
 //!
 //! Memory accounting (paper Table 2) charges each node its varint-encoded
-//! payload size — matching the paper's compressed representation — plus a
-//! small fixed overhead. A capacity limit is enforced at step boundaries
-//! under one of two [`CachePolicy`]s:
+//! payload size plus a small fixed overhead. A capacity limit is enforced
+//! at step boundaries by one victim loop; the [`CachePolicy`] only picks
+//! the victims: everything (§6.2's clear-on-full) or the coldest segments.
 //!
-//! * [`CachePolicy::Clear`] — the paper's §6.2 clear-on-full: drop
-//!   everything and re-memoize from scratch.
-//! * [`CachePolicy::Generational`] — partial eviction: storage is
-//!   segmented into *generations* (see below) and only the coldest
-//!   generations are retired when the budget is exceeded.
+//! # Segments
 //!
-//! # Generations
+//! All node storage lives in [`Segment`]s: plain-data arenas of nodes,
+//! successor links and a slab of placeholder data and INDEX signatures
+//! (nodes hold `(offset, len)` ranges, so replay walks linear memory).
+//! The cache keeps one table of them, sorted by *sequence number*, and
+//! resolves a [`NodeId`] — sequence number plus index — through it, with
+//! a hot-slot hint that makes the common case one compare. Sequence
+//! numbers are never reused, so a link into a retired segment fails to
+//! resolve and reads as an ordinary miss.
 //!
-//! All node storage lives in per-generation arenas. A [`NodeId`] carries
-//! the *sequence number* of the generation that owns it plus the index
-//! within that generation; sequence numbers are never reused, so a link
-//! into an evicted generation can be detected lazily — resolution simply
-//! fails — and is treated as an ordinary missing link, feeding the
-//! existing miss/recovery path. The generation currently receiving new
-//! recordings, and the generation holding the recording cursor's
-//! attachment node, are *pinned*: an in-flight step is never evicted
-//! from under itself. Eviction only happens at slow-mode step boundaries
-//! (via [`ActionCache::reclaim`]); generation *rotation* — sealing the
-//! current arena and opening a fresh one — can happen mid-recording and
-//! invalidates nothing, because links are generation-tagged and cross
-//! generations freely.
+//! The last segment receives new recordings; the generational policy
+//! *rotates* to a fresh one once it has spent its share of the budget.
+//! The recording segment and the one holding the cursor's node are
+//! pinned: an in-flight step is never evicted from under itself. A warm
+//! start ([`ActionCache::install_frozen`]) puts the sealed segments of a
+//! [`FrozenGens`] image at the front of the table, `Arc`-shared with
+//! every cache that installed it: read-only, never evicted. Links
+//! recorded *from* their nodes go to a private copy-on-write overlay.
 //!
-//! # Hot-path layout (docs/PERFORMANCE.md)
-//!
-//! Replay throughput dominates end-to-end speed once fast-forwarding
-//! covers >99% of instructions, so the structures the replay loop walks
-//! are laid out for it:
-//!
-//! * Placeholder data and INDEX link signatures live in a contiguous
-//!   `Vec<i64>` **slab** per generation; nodes hold `(offset, len)`
-//!   ranges. Replay in recording order walks linear memory instead of
-//!   chasing one boxed allocation per node.
-//! * The entry table is an insert-only **open-addressing** map (linear
-//!   probing, power-of-two capacity) keyed by a precomputed 64-bit
-//!   mix of the key bytes — no SipHash, no per-lookup hasher state.
-//! * Test and INDEX successor lists carry a **hot index**: the position
-//!   taken by the previous replay, checked first. Lists that outgrow
-//!   `LINEAR_MAX` are kept sorted and binary-searched.
-//! * Generation resolution keeps a **hot slot** hint: replay chains stay
-//!   within one generation for long stretches, so resolving a `NodeId`
-//!   is one sequence-number compare in the common case.
+//! Successor lists carry a **hot index** (the position replay last took,
+//! probed first) and are sorted past `LINEAR_MAX` (docs/PERFORMANCE.md).
 
 use crate::key::{hash_bytes, varint_len, zigzag, Key};
 use facile_obs::{ObsHandle, TraceEvent};
@@ -66,51 +47,49 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Identifier of a node in the action cache.
-///
-/// Carries the owning generation's sequence number alongside the index
-/// within that generation's arena. Sequence numbers are globally
-/// monotonic and never reused, so an id whose generation was evicted (or
-/// cleared) can never alias a live node: resolution fails instead.
+/// Identifier of a node in the action cache: its segment's sequence
+/// number (never reused, so an id whose segment was evicted or cleared
+/// fails to resolve instead of aliasing) and its index in the segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeId {
-    /// Sequence number of the owning generation.
+    /// Sequence number of the owning segment.
     gen: u32,
-    /// Index within the generation's arena.
+    /// Index within the segment.
     idx: u32,
 }
 
 impl NodeId {
-    /// Reassembles an id from its generation sequence number and index —
-    /// the snapshot decoder's constructor. An id that does not resolve
-    /// against the frozen set is rejected by
-    /// [`FrozenGensBuilder::finish`], never dereferenced.
+    /// Reassembles an id from its segment sequence number and index (the
+    /// snapshot decoder's constructor; [`FrozenGens::from_parts`] checks it).
     pub fn from_parts(gen: u32, idx: u32) -> NodeId {
         NodeId { gen, idx }
     }
 
-    /// The id as a usable index within its generation.
+    /// The id as a usable index within its segment.
     pub fn index(self) -> usize {
         self.idx as usize
     }
 
-    /// The owning generation's sequence number.
+    /// The owning segment's sequence number.
     pub fn generation(self) -> u32 {
         self.gen
     }
 }
 
-/// A `(offset, len)` range into a generation's data slab.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A `(offset, len)` range into a segment's data slab.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlabRange {
     off: u32,
     len: u32,
 }
 
 impl SlabRange {
-    const EMPTY: SlabRange = SlabRange { off: 0, len: 0 };
+    /// The range of `len` values from `off`.
+    pub fn new(off: u32, len: u32) -> SlabRange {
+        SlabRange { off, len }
+    }
 
-    /// Start offset of the range within its generation's slab.
+    /// Start offset of the range within its segment's slab.
     pub fn off(self) -> usize {
         self.off as usize
     }
@@ -130,122 +109,133 @@ impl SlabRange {
 /// at or below it they are scanned linearly (after the hot-index probe).
 const LINEAR_MAX: usize = 8;
 
-/// Successors of a dynamic result test: one per observed value, with a
+/// The discriminator of a successor list entry: a test value reads as
+/// itself, an INDEX signature range as the slab values it covers.
+pub trait LinkKey: Copy {
+    /// What lookups compare.
+    type Probe: Ord + ?Sized;
+    /// The comparable form of this key, resolved against its slab.
+    fn probe<'a>(&'a self, slab: &'a [i64]) -> &'a Self::Probe;
+}
+
+impl LinkKey for i64 {
+    type Probe = i64;
+    fn probe<'a>(&'a self, _: &'a [i64]) -> &'a i64 {
+        self
+    }
+}
+
+impl LinkKey for SlabRange {
+    type Probe = [i64];
+    fn probe<'a>(&'a self, slab: &'a [i64]) -> &'a [i64] {
+        range_of(slab, *self)
+    }
+}
+
+/// Successors of a multi-way node, one per discriminator, with a
 /// hot-index inline cache remembering the last successor taken.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct TestList {
-    /// `(observed value, successor)`; sorted by value once the list
-    /// outgrows [`LINEAR_MAX`].
-    items: Vec<(i64, NodeId)>,
+pub struct Links<K> {
+    /// `(discriminator, successor)`; sorted by discriminator once the
+    /// list outgrows [`LINEAR_MAX`].
+    items: Vec<(K, NodeId)>,
     /// Index of the most recently taken successor (hint only).
     hot: u32,
 }
 
-impl TestList {
-    /// The recorded `(value, successor)` pairs (order unspecified).
-    pub fn items(&self) -> &[(i64, NodeId)] {
-        &self.items
-    }
-
-    /// Number of recorded successors.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no successor was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
-    /// Immutable lookup (no inline-cache update).
-    pub fn get(&self, value: i64) -> Option<NodeId> {
-        if let Some(&(v, n)) = self.items.get(self.hot as usize) {
-            if v == value {
-                return Some(n);
-            }
-        }
-        self.position(value).map(|i| self.items[i].1)
-    }
-
-    /// Lookup that refreshes the hot index on success.
-    fn get_hot(&mut self, value: i64) -> Option<NodeId> {
-        if let Some(&(v, n)) = self.items.get(self.hot as usize) {
-            if v == value {
-                return Some(n);
-            }
-        }
-        let i = self.position(value)?;
-        self.hot = i as u32;
-        Some(self.items[i].1)
-    }
-
-    fn position(&self, value: i64) -> Option<usize> {
-        if self.items.len() <= LINEAR_MAX {
-            self.items.iter().position(|&(v, _)| v == value)
-        } else {
-            self.items.binary_search_by_key(&value, |&(v, _)| v).ok()
-        }
-    }
-
-    /// Inserts (or, after an eviction left the pair's target stale,
-    /// replaces) the `(value, successor)` pair, keeping the sorted
-    /// invariant for large lists and pointing the hot index at it.
-    /// Returns whether a *new* pair was added (byte accounting).
-    fn insert(&mut self, value: i64, node: NodeId) -> bool {
-        if let Some(i) = self.position(value) {
-            // Re-recording over a link whose target was evicted: the
-            // pair already exists, only the target changes.
-            self.items[i].1 = node;
-            self.hot = i as u32;
-            return false;
-        }
-        if self.items.len() < LINEAR_MAX {
-            self.hot = self.items.len() as u32;
-            self.items.push((value, node));
-            return true;
-        }
-        if self.items.len() == LINEAR_MAX {
-            self.items.sort_unstable_by_key(|&(v, _)| v);
-        }
-        let at = self
-            .items
-            .binary_search_by_key(&value, |&(v, _)| v)
-            .unwrap_err();
-        self.items.insert(at, (value, node));
-        self.hot = at as u32;
-        true
-    }
-}
+/// Successors of a dynamic result test, keyed by the observed value.
+pub type TestList = Links<i64>;
 
 /// Successors of an INDEX action, keyed by the *dynamic* key components
 /// only — the run-time-static components are identical on every execution
 /// of the same node, so the dynamic signature discriminates fully and
 /// replay never has to serialize the whole key (the paper's "faster to
-/// follow the link"). Signatures live in the owning generation's slab.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct IndexList {
-    /// `(signature range, successor entry)`; sorted by signature content
-    /// once the list outgrows [`LINEAR_MAX`].
-    items: Vec<(SlabRange, NodeId)>,
-    /// Index of the most recently taken successor (hint only).
-    hot: u32,
-}
+/// follow the link"). Signatures live in the owning record's slab.
+pub type IndexList = Links<SlabRange>;
 
-impl IndexList {
-    /// The recorded `(signature range, successor)` pairs (ranges resolve
-    /// against the owning generation's slab; order unspecified).
-    pub fn items(&self) -> &[(SlabRange, NodeId)] {
+impl<K> Links<K> {
+    /// A list of recorded `(discriminator, successor)` pairs with a cold
+    /// inline cache.
+    pub fn new(items: Vec<(K, NodeId)>) -> Links<K> {
+        Links { items, hot: 0 }
+    }
+
+    /// The recorded `(discriminator, successor)` pairs (order unspecified).
+    pub fn items(&self) -> &[(K, NodeId)] {
         &self.items
     }
+}
 
-    /// Number of recorded successors.
-    pub fn len(&self) -> usize {
-        self.items.len()
+impl<K: LinkKey> Links<K> {
+    /// Position and target of `probe`: the hot index first, then a
+    /// linear scan or, past [`LINEAR_MAX`], a binary search.
+    fn get(&self, slab: &[i64], probe: &K::Probe) -> Option<(usize, NodeId)> {
+        let hot = self.hot as usize;
+        let i = match self.items.get(hot) {
+            Some((k, _)) if k.probe(slab) == probe => hot,
+            _ if self.items.len() <= LINEAR_MAX => self
+                .items
+                .iter()
+                .position(|(k, _)| k.probe(slab) == probe)?,
+            _ => self
+                .items
+                .binary_search_by(|(k, _)| k.probe(slab).cmp(probe))
+                .ok()?,
+        };
+        Some((i, self.items[i].1))
     }
 
-    /// Whether no successor was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+    fn sort(&mut self, slab: &[i64]) {
+        self.items
+            .sort_unstable_by(|(a, _), (b, _)| a.probe(slab).cmp(b.probe(slab)));
+    }
+
+    /// Re-establishes the sorted lookup invariant of a decoded list and
+    /// reports whether its discriminators are unique (a decoder must be
+    /// able to trust lookups, not the writer's ordering).
+    fn sort_checked(&mut self, slab: &[i64]) -> bool {
+        if self.items.len() <= LINEAR_MAX {
+            return true;
+        }
+        self.sort(slab);
+        self.items
+            .windows(2)
+            .all(|w| w[0].0.probe(slab) != w[1].0.probe(slab))
+    }
+
+    /// Links `probe` to `target`, pointing the hot index at it: in place
+    /// when already recorded (its old target was evicted), else as a new
+    /// link whose key `store` keeps (it may decline), in sorted order past
+    /// [`LINEAR_MAX`]. Returns whether a link was added (byte accounting).
+    fn link(
+        &mut self,
+        slab: &mut Vec<i64>,
+        probe: &K::Probe,
+        target: NodeId,
+        store: impl FnOnce(&mut Vec<i64>) -> Option<K>,
+    ) -> bool {
+        if let Some((i, _)) = self.get(slab, probe) {
+            self.items[i].1 = target;
+            self.hot = i as u32;
+            return false;
+        }
+        let Some(key) = store(slab) else {
+            return false;
+        };
+        let at = match self.items.len() {
+            n if n < LINEAR_MAX => n,
+            n => {
+                if n == LINEAR_MAX {
+                    self.sort(slab);
+                }
+                self.items
+                    .binary_search_by(|(k, _)| k.probe(slab).cmp(probe))
+                    .unwrap_err()
+            }
+        };
+        self.items.insert(at, (key, target));
+        self.hot = at as u32;
+        true
     }
 }
 
@@ -263,13 +253,32 @@ pub enum Succ {
     Index(IndexList),
 }
 
+impl Succ {
+    /// The inline-cached position of a multi-way record.
+    fn hot(&self) -> usize {
+        match self {
+            Succ::Tests(l) => l.hot as usize,
+            Succ::Index(l) => l.hot as usize,
+            _ => 0,
+        }
+    }
+
+    fn set_hot(&mut self, i: usize) {
+        match self {
+            Succ::Tests(l) => l.hot = i as u32,
+            Succ::Index(l) => l.hot = i as u32,
+            _ => {}
+        }
+    }
+}
+
 /// One recorded action.
 #[derive(Clone, Copy, Debug)]
 pub struct Node {
     /// The action number (an index into the fast engine's action table).
     pub action: u32,
     /// Run-time-static placeholder data, as a range into the owning
-    /// generation's slab (resolve with [`ActionCache::node_data`]).
+    /// segment's slab (resolve with [`ActionCache::node_data`]).
     pub data: SlabRange,
 }
 
@@ -295,7 +304,7 @@ pub enum CachePolicy {
     #[default]
     Clear,
     /// Generational partial eviction: retire only the coldest
-    /// generations; hot memoized state stays resident.
+    /// segments; hot memoized state stays resident.
     Generational,
 }
 
@@ -316,7 +325,7 @@ pub struct CacheStats {
     pub bytes_peak: u64,
     /// Bytes released by clears (cumulative).
     pub bytes_cleared: u64,
-    /// Generations evicted by the generational policy (cumulative).
+    /// Segments evicted by the generational policy (cumulative).
     pub evictions: u64,
     /// Bytes released by generational evictions (cumulative). Invariant:
     /// `bytes_total == bytes_current + bytes_cleared + bytes_evicted`.
@@ -326,7 +335,7 @@ pub struct CacheStats {
     /// accounted here, *outside* `bytes_current` and the capacity
     /// budget — the byte invariant above is untouched by warm starts.
     pub bytes_frozen: u64,
-    /// Frozen generations pinned by a warm start (0 when cold).
+    /// Frozen segments pinned by a warm start (0 when cold).
     pub frozen_gens: u64,
 }
 
@@ -337,7 +346,7 @@ struct EntrySlot {
     hash: u64,
     /// Entry node index, or [`EntryTable::VACANT`] when the slot is free.
     node: u32,
-    /// Generation sequence number of the entry node.
+    /// Segment sequence number of the entry node.
     gen: u32,
     /// The key bytes (empty when the slot is free).
     key: Key,
@@ -345,10 +354,10 @@ struct EntrySlot {
 
 /// Insert-only open-addressing hash table from [`Key`] to entry node.
 /// Linear probing over a power-of-two slot array; no tombstones. Slots
-/// whose target generation was evicted stay occupied (probe chains must
+/// whose target segment was evicted stay occupied (probe chains must
 /// not break); they are overwritten in place on re-registration of the
 /// same key, and dropped when the table grows.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct EntryTable {
     slots: Vec<EntrySlot>,
     len: usize,
@@ -357,13 +366,6 @@ struct EntryTable {
 impl EntryTable {
     const VACANT: u32 = u32::MAX;
     const INITIAL_SLOTS: usize = 64;
-
-    fn new() -> EntryTable {
-        EntryTable {
-            slots: Vec::new(),
-            len: 0,
-        }
-    }
 
     fn clear(&mut self) {
         for s in &mut self.slots {
@@ -386,19 +388,16 @@ impl EntryTable {
                 return None;
             }
             if slot.hash == hash && slot.key.as_bytes() == bytes {
-                return Some(NodeId {
-                    gen: slot.gen,
-                    idx: slot.node,
-                });
+                return Some(NodeId::from_parts(slot.gen, slot.node));
             }
             i = (i + 1) & mask;
         }
     }
 
     /// Inserts `key -> node` if the key is absent *or* its current
-    /// target's generation is no longer resident (per `resident`);
-    /// returns whether it (re)inserted. A live registration wins over a
-    /// later one for the same key.
+    /// target's segment is no longer resident (per `resident`); returns
+    /// whether it (re)inserted. A live registration wins over a later one
+    /// for the same key.
     fn insert(&mut self, key: Key, node: NodeId, resident: impl Fn(u32) -> bool + Copy) -> bool {
         if self.len * 4 >= self.slots.len() * 3 {
             self.grow(resident);
@@ -432,7 +431,7 @@ impl EntryTable {
     }
 
     /// Rehashes into a bigger table, dropping slots whose target
-    /// generation is gone so eviction churn cannot grow the table
+    /// segment is gone so eviction churn cannot grow the table
     /// unboundedly.
     fn grow(&mut self, resident: impl Fn(u32) -> bool) {
         let new_cap = (self.slots.len() * 2).max(Self::INITIAL_SLOTS);
@@ -464,10 +463,14 @@ impl EntryTable {
     }
 }
 
-/// One storage generation: a sealed or recording arena of nodes, links
-/// and slab data.
-#[derive(Clone, Debug)]
-struct Generation {
+/// One storage segment: recorded nodes, their successor links and the
+/// slab holding their placeholder data and INDEX signatures.
+///
+/// Plain data — the cache keeps its bookkeeping for a segment (bytes
+/// charged, touch stamp) in its own segment table — so a sealed segment
+/// is `Sync` and caches share it behind an `Arc`.
+#[derive(Clone, Debug, Default)]
+pub struct Segment {
     /// Globally monotonic sequence number (never reused).
     seq: u32,
     nodes: Vec<Node>,
@@ -477,38 +480,22 @@ struct Generation {
     /// Contiguous backing store for placeholder data and INDEX link
     /// signatures.
     slab: Vec<i64>,
-    /// Bytes charged to this generation (nodes, links, entries).
-    bytes: u64,
-    /// Touch-clock stamp of the last replay hit that landed here.
-    last_touch: Cell<u64>,
 }
 
-impl Generation {
-    fn new(seq: u32, stamp: u64) -> Generation {
-        Generation {
+impl Segment {
+    /// Assembles a segment from decoded parts, unchecked: seal it with
+    /// [`FrozenGens::from_parts`], which validates every reference.
+    pub fn from_parts(seq: u32, nodes: Vec<(Node, Succ)>, slab: Vec<i64>) -> Segment {
+        let (nodes, succs) = nodes.into_iter().unzip();
+        Segment {
             seq,
-            nodes: Vec::new(),
-            succs: Vec::new(),
-            slab: Vec::new(),
-            bytes: 0,
-            last_touch: Cell::new(stamp),
+            nodes,
+            succs,
+            slab,
         }
     }
-}
 
-/// One generation of an immutable, shareable cache image: the `Cell`-free
-/// twin of `Generation` (no touch clock, no byte ledger), so the whole
-/// image is `Sync` and batch lanes can share it behind one `Arc`.
-#[derive(Clone, Debug)]
-pub struct FrozenGen {
-    seq: u32,
-    nodes: Vec<Node>,
-    succs: Vec<Succ>,
-    slab: Vec<i64>,
-}
-
-impl FrozenGen {
-    /// The generation's (never reused) sequence number.
+    /// The segment's (never reused) sequence number.
     pub fn seq(&self) -> u32 {
         self.seq
     }
@@ -519,7 +506,7 @@ impl FrozenGen {
     }
 
     /// The successor links of node `idx` (ranges in `Index` links
-    /// resolve against this generation's [`slab`](Self::slab)).
+    /// resolve against this segment's [`slab`](Self::slab)).
     pub fn succ(&self, idx: usize) -> &Succ {
         &self.succs[idx]
     }
@@ -530,19 +517,85 @@ impl FrozenGen {
     }
 }
 
-/// An immutable image of an action cache: frozen generations sorted by
+/// How the cache holds a segment.
+#[derive(Clone, Debug)]
+enum Store {
+    /// Recorded by this cache: writable and evictable.
+    Own(Segment),
+    /// Sealed and shared with other caches (a warm-start image):
+    /// read-only and resident for the life of the run.
+    Shared(Arc<Segment>),
+}
+
+/// One row of the segment table: a segment plus the cache's private
+/// bookkeeping for it.
+#[derive(Clone, Debug)]
+struct Slot {
+    /// The segment's sequence number (the table's sort key).
+    seq: u32,
+    store: Store,
+    /// Bytes charged to this segment (nodes, links, entries).
+    bytes: u64,
+    /// Touch-clock stamp of the last replay hit that landed here.
+    last_touch: Cell<u64>,
+    /// For a shared segment: one bit per node that has a private overlay
+    /// record (empty until the first one).
+    cow: Vec<u64>,
+}
+
+impl Slot {
+    fn new(seq: u32, store: Store, stamp: u64) -> Slot {
+        Slot {
+            seq,
+            store,
+            bytes: 0,
+            last_touch: Cell::new(stamp),
+            cow: Vec::new(),
+        }
+    }
+
+    /// A fresh, empty segment of this cache's own.
+    fn own(seq: u32, stamp: u64) -> Slot {
+        let seg = Segment {
+            seq,
+            ..Segment::default()
+        };
+        Slot::new(seq, Store::Own(seg), stamp)
+    }
+
+    fn seg(&self) -> &Segment {
+        match &self.store {
+            Store::Own(seg) => seg,
+            Store::Shared(seg) => seg,
+        }
+    }
+}
+
+/// Whether bit `idx` is set: for a slot's `cow` bits, whether node `idx`
+/// of the shared segment has an overlay record.
+fn marked(bits: &[u64], idx: usize) -> bool {
+    bits.get(idx / 64)
+        .is_some_and(|&w| w >> (idx % 64) & 1 != 0)
+}
+
+/// Whether the segment table holds sequence number `seq`.
+fn holds(slots: &[Slot], seq: u32) -> bool {
+    slots.binary_search_by_key(&seq, |s| s.seq).is_ok()
+}
+
+/// An immutable image of an action cache: sealed segments sorted by
 /// sequence number plus the entry registrations that point into them.
 ///
 /// This is what [`ActionCache::freeze`] exports, what the snapshot codec
 /// serializes (docs/PERSISTENCE.md), and what
 /// [`ActionCache::install_frozen`] pins under a live cache for a warm
 /// start. It is plain data — `Send + Sync` — so `facilec batch` lanes
-/// share one image behind an `Arc` while each lane layers private
-/// copy-on-write recording on top.
+/// share one image, and each lane's segment table shares its segments,
+/// while each lane layers private copy-on-write recording on top.
 #[derive(Clone, Debug, Default)]
 pub struct FrozenGens {
-    /// Frozen generations, sorted by `seq` ascending.
-    gens: Vec<FrozenGen>,
+    /// Sealed segments, sorted by `seq` ascending.
+    gens: Vec<Arc<Segment>>,
     /// Entry registrations `key -> entry node`, in export order.
     entries: Vec<(Key, NodeId)>,
     /// Serialized payload size (set by the snapshot codec; 0 for images
@@ -551,8 +604,8 @@ pub struct FrozenGens {
 }
 
 impl FrozenGens {
-    /// The frozen generations, sorted by sequence number.
-    pub fn gens(&self) -> &[FrozenGen] {
+    /// The sealed segments, sorted by sequence number.
+    pub fn gens(&self) -> &[Arc<Segment>] {
         &self.gens
     }
 
@@ -572,12 +625,12 @@ impl FrozenGens {
         self.bytes = bytes;
     }
 
-    /// Number of frozen generations.
+    /// Number of segments.
     pub fn generation_count(&self) -> usize {
         self.gens.len()
     }
 
-    /// Total frozen nodes across all generations.
+    /// Total nodes across all segments.
     pub fn node_count(&self) -> usize {
         self.gens.iter().map(|g| g.nodes.len()).sum()
     }
@@ -587,278 +640,130 @@ impl FrozenGens {
         self.entries.len()
     }
 
-    /// Largest frozen sequence number (`None` for an empty image).
-    pub fn max_seq(&self) -> Option<u32> {
-        self.gens.last().map(|g| g.seq)
-    }
-
-    /// Whether sequence number `seq` names a frozen generation.
-    pub fn has_seq(&self, seq: u32) -> bool {
-        self.gens.binary_search_by_key(&seq, |g| g.seq).is_ok()
-    }
-
-    fn node_count_of(&self, seq: u32) -> Option<usize> {
-        self.gens
-            .binary_search_by_key(&seq, |g| g.seq)
-            .ok()
-            .map(|i| self.gens[i].nodes.len())
-    }
-}
-
-/// Successor links in the snapshot decoder's wire-level form: targets as
-/// raw `(gen, idx)` ids and INDEX signatures as raw slab ranges, exactly
-/// as docs/PERSISTENCE.md lays them out. [`FrozenGensBuilder`] converts
-/// these into the runtime's list types (inline caches reset to cold) and
-/// validates every reference before anything can be dereferenced.
-#[derive(Clone, Debug)]
-pub enum FrozenSucc {
-    /// No successor recorded.
-    None,
-    /// Straight-line link.
-    One(NodeId),
-    /// Dynamic result test successors: `(observed value, target)`.
-    Tests(Vec<(i64, NodeId)>),
-    /// INDEX successors: `(slab offset, length, target)`.
-    Index(Vec<(u32, u32, NodeId)>),
-}
-
-/// Builds a validated [`FrozenGens`] from untrusted decoded parts.
-///
-/// The snapshot decoder streams generations and nodes through this;
-/// [`finish`](Self::finish) then proves every cross-reference resolves
-/// within the frozen set, every slab range is in bounds and every action
-/// number is within the compiled step's table — so a corrupted payload
-/// becomes a load error, never a wrong answer or a panic at replay time.
-#[derive(Debug, Default)]
-pub struct FrozenGensBuilder {
-    gens: Vec<FrozenGen>,
-}
-
-impl FrozenGensBuilder {
-    /// An empty builder.
-    pub fn new() -> FrozenGensBuilder {
-        FrozenGensBuilder::default()
-    }
-
-    /// Opens the next generation. Sequence numbers must be strictly
-    /// increasing (the on-disk order).
+    /// Seals decoded, untrusted segments and entries into an image — the
+    /// snapshot decoder's constructor — after proving everything replay
+    /// dereferences: sequence numbers increase, ranges lie in their slabs,
+    /// every target resolves within the image (frozen links never
+    /// dangle), plain and test links lead forward, action numbers are
+    /// below `action_limit`, and long lists are sorted and duplicate-free.
     ///
     /// # Errors
     ///
-    /// A description of the ordering violation.
-    pub fn begin_gen(&mut self, seq: u32, slab: Vec<i64>) -> Result<(), String> {
-        if let Some(last) = self.gens.last() {
-            if seq <= last.seq {
-                return Err(format!(
-                    "generation sequence numbers must increase: {seq} after {}",
-                    last.seq
-                ));
-            }
-        }
-        self.gens.push(FrozenGen {
-            seq,
-            nodes: Vec::new(),
-            succs: Vec::new(),
-            slab,
-        });
-        Ok(())
-    }
-
-    /// Appends one node (with its successor links) to the open
-    /// generation. The placeholder-data range is checked against the
-    /// generation's slab immediately; link targets are checked in
-    /// [`finish`](Self::finish) because links cross generations freely.
-    ///
-    /// # Errors
-    ///
-    /// A description of the out-of-bounds range or missing generation.
-    pub fn push_node(
-        &mut self,
-        action: u32,
-        data_off: u32,
-        data_len: u32,
-        succ: FrozenSucc,
-    ) -> Result<(), String> {
-        let g = self
-            .gens
-            .last_mut()
-            .ok_or_else(|| "node before any generation".to_owned())?;
-        let end = (data_off as u64).saturating_add(data_len as u64);
-        if end > g.slab.len() as u64 {
-            return Err(format!(
-                "node data range {data_off}+{data_len} exceeds slab of {} values",
-                g.slab.len()
-            ));
-        }
-        let succ = match succ {
-            FrozenSucc::None => Succ::None,
-            FrozenSucc::One(n) => Succ::One(n),
-            FrozenSucc::Tests(items) => Succ::Tests(TestList { items, hot: 0 }),
-            FrozenSucc::Index(items) => {
-                let slab_len = g.slab.len() as u64;
-                let mut out = Vec::with_capacity(items.len());
-                for (off, len, n) in items {
-                    if (off as u64).saturating_add(len as u64) > slab_len {
-                        return Err(format!(
-                            "INDEX signature range {off}+{len} exceeds slab of {slab_len} values"
-                        ));
-                    }
-                    out.push((SlabRange { off, len }, n));
-                }
-                Succ::Index(IndexList { items: out, hot: 0 })
-            }
-        };
-        g.nodes.push(Node {
-            action,
-            data: SlabRange {
-                off: data_off,
-                len: data_len,
-            },
-        });
-        g.succs.push(succ);
-        Ok(())
-    }
-
-    /// Validates all cross-references and seals the image.
-    ///
-    /// Every successor and entry target must resolve within the frozen
-    /// set (frozen links never dangle: frozen generations are pinned for
-    /// the life of the run), every action number must be below
-    /// `action_limit`, and successor lists are re-sorted where the
-    /// lookup invariant demands it — the on-disk order is not trusted.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first failed structural check.
-    pub fn finish(
-        self,
+    /// A description of the first failed check.
+    pub fn from_parts(
+        mut gens: Vec<Segment>,
         entries: Vec<(Key, NodeId)>,
         action_limit: u32,
     ) -> Result<FrozenGens, String> {
-        let image = FrozenGens {
-            gens: self.gens,
-            entries,
-            bytes: 0,
+        if let Some(w) = gens.windows(2).find(|w| w[1].seq <= w[0].seq) {
+            return Err(format!(
+                "generation sequence numbers must increase: {} after {}",
+                w[1].seq, w[0].seq
+            ));
+        }
+        let resolve = |what: &str, n: NodeId| match gens.binary_search_by_key(&n.gen, |g| g.seq) {
+            Ok(i) if n.index() < gens[i].nodes.len() => Ok(()),
+            _ => Err(format!(
+                "{what} target {}:{} is not in the snapshot",
+                n.gen, n.idx
+            )),
         };
-        let resolve = |what: &str, n: NodeId| -> Result<(), String> {
-            match image.node_count_of(n.gen) {
-                Some(count) if n.index() < count => Ok(()),
-                Some(count) => Err(format!(
-                    "{what} target {}:{} out of bounds (generation has {count} nodes)",
-                    n.gen, n.idx
+        for g in &gens {
+            let slab = g.slab.len() as u64;
+            let fits = |what: &str, r: SlabRange| match r.off as u64 + r.len as u64 <= slab {
+                true => Ok(()),
+                false => Err(format!(
+                    "{what} range {}+{} exceeds slab of {slab} values",
+                    r.off, r.len
                 )),
-                None => Err(format!(
-                    "{what} target {}:{} names a generation outside the snapshot",
-                    n.gen, n.idx
-                )),
-            }
-        };
-        for g in &image.gens {
-            for node in &g.nodes {
+            };
+            for (i, (node, s)) in g.nodes.iter().zip(&g.succs).enumerate() {
                 if node.action >= action_limit {
                     return Err(format!(
                         "action number {} out of range (step has {action_limit} actions)",
                         node.action
                     ));
                 }
-            }
-            for s in &g.succs {
+                fits("node data", node.data)?;
+                // Within a step, links lead to nodes recorded later, so
+                // replay between two INDEX crossings always ends.
+                let forward = |what: &str, n: NodeId| match (n.gen, n.index()) > (g.seq, i) {
+                    true => resolve(what, n),
+                    false => Err(format!("{what} from {}:{i} leads backwards", g.seq)),
+                };
                 match s {
                     Succ::None => {}
-                    Succ::One(n) => resolve("plain link", *n)?,
-                    Succ::Tests(list) => {
-                        for &(_, n) in &list.items {
-                            resolve("test link", n)?;
-                        }
-                    }
-                    Succ::Index(list) => {
-                        for &(_, n) in &list.items {
-                            resolve("INDEX link", n)?;
-                        }
-                    }
+                    Succ::One(n) => forward("plain link", *n)?,
+                    Succ::Tests(l) => l
+                        .items
+                        .iter()
+                        .try_for_each(|&(_, n)| forward("test link", n))?,
+                    Succ::Index(l) => l.items.iter().try_for_each(|&(r, n)| {
+                        fits("INDEX signature", r)?;
+                        resolve("INDEX link", n)
+                    })?,
                 }
             }
         }
-        for &(_, n) in &image.entries {
+        for &(_, n) in &entries {
             resolve("entry", n)?;
         }
-        // Re-establish the sorted lookup invariant for large lists and
-        // reject duplicate discriminators (a decoder must be able to
-        // trust lookups, not the writer's ordering).
-        let mut image = image;
-        for g in &mut image.gens {
-            let slab = &g.slab;
+        for g in &mut gens {
             for s in &mut g.succs {
-                match s {
-                    Succ::Tests(list) if list.items.len() > LINEAR_MAX => {
-                        list.items.sort_unstable_by_key(|&(v, _)| v);
-                        if list.items.windows(2).any(|w| w[0].0 == w[1].0) {
-                            return Err("duplicate test value in successor list".to_owned());
-                        }
-                    }
-                    Succ::Index(list) if list.items.len() > LINEAR_MAX => {
-                        list.items.sort_unstable_by(|&(a, _), &(b, _)| {
-                            range_of(slab, a).cmp(range_of(slab, b))
-                        });
-                        if list
-                            .items
-                            .windows(2)
-                            .any(|w| range_of(slab, w[0].0) == range_of(slab, w[1].0))
-                        {
-                            return Err("duplicate INDEX signature in successor list".to_owned());
-                        }
-                    }
-                    _ => {}
+                let (unique, what) = match s {
+                    Succ::Tests(l) => (l.sort_checked(&g.slab), "test value"),
+                    Succ::Index(l) => (l.sort_checked(&g.slab), "INDEX signature"),
+                    _ => continue,
+                };
+                if !unique {
+                    return Err(format!("duplicate {what} in successor list"));
                 }
             }
         }
-        Ok(image)
+        Ok(FrozenGens {
+            gens: gens.into_iter().map(Arc::new).collect(),
+            entries,
+            bytes: 0,
+        })
     }
 }
 
 /// The specialized action cache.
 #[derive(Clone, Debug)]
 pub struct ActionCache {
-    /// Live generations; `gens[cur]` receives new recordings.
-    gens: Vec<Generation>,
-    cur: usize,
+    /// The segment table, sorted by sequence number: an installed
+    /// image's shared segments first, then the cache's own; the last
+    /// slot receives new recordings.
+    slots: Vec<Slot>,
     /// Hint: the slot the last resolved [`NodeId`] lived in.
-    hot_gen: Cell<u32>,
-    /// Next generation sequence number to hand out.
+    hot: Cell<u32>,
+    /// Next segment sequence number to hand out.
     next_seq: u32,
     /// Monotonic touch clock for eviction coldness.
     touch: Cell<u64>,
     entries: EntryTable,
     capacity: Option<u64>,
     policy: CachePolicy,
-    /// Byte budget of one generation before rotation (generational
-    /// policy; `u64::MAX` otherwise).
+    /// Byte budget of one segment before rotation (generational policy;
+    /// `u64::MAX` otherwise).
     gen_budget: u64,
-    /// Maximum slab length / node count per generation. `u32::MAX`
+    /// Maximum slab length / node count per segment. `u32::MAX`
     /// normally; shrunk by tests to exercise rotation-before-overflow.
     offset_limit: u32,
     stats: CacheStats,
-    /// Bumped on every clear so tools can notice wholesale invalidation.
-    generation: u64,
     /// Observability hook; disabled (free) by default.
     obs: ObsHandle,
-    /// Read-only warm-start image pinned under the live generations
-    /// (see [`install_frozen`](Self::install_frozen)). Shared — batch
-    /// lanes hold clones of one `Arc`. Every frozen sequence number is
-    /// strictly below every live one, frozen generations are never
-    /// touched by eviction, and frozen links only target frozen nodes,
-    /// so frozen resolution never dangles.
+    /// The installed warm-start image (see
+    /// [`install_frozen`](Self::install_frozen)); its segments sit at the
+    /// front of `slots`, and its entries are re-registered after a clear.
     frozen: Option<Arc<FrozenGens>>,
-    /// Hot-slot hint into `frozen.gens` (twin of `hot_gen`).
-    frozen_hot: Cell<u32>,
-    /// Private copy-on-write delta over the frozen image: links recorded
-    /// *from* frozen nodes after a warm start land here instead of
-    /// mutating the shared image. Lookups probe the frozen base first
-    /// (the common warm hit costs nothing extra) and this map only on a
-    /// base miss. Holds only additions — never copies of frozen links.
+    /// Private copy-on-write records of shared-segment nodes that had
+    /// links recorded from them: a copy of the sealed record plus the new
+    /// links, so the shared image is never written. Marked per node in
+    /// the owning slot's `cow` bits.
     overlay: HashMap<NodeId, Succ>,
     /// Backing store for overlay INDEX signatures; `SlabRange`s inside
-    /// `overlay` resolve against this, never against a frozen slab.
+    /// `overlay` resolve against this, never against a segment's slab.
     overlay_slab: Vec<i64>,
 }
 
@@ -867,20 +772,15 @@ pub struct ActionCache {
 const NODE_OVERHEAD: u64 = 8;
 /// Fixed per-entry overhead (hash-table slot + link).
 const ENTRY_OVERHEAD: u64 = 16;
-/// How many generations the generational policy aims to keep resident:
-/// the per-generation budget is `capacity / GEN_TARGET`.
+/// How many segments the generational policy aims to keep resident:
+/// the per-segment budget is `capacity / GEN_TARGET`.
 const GEN_TARGET: u64 = 8;
+const STALE: &str = "stale NodeId: its segment was evicted or cleared";
 
 impl ActionCache {
     /// An unbounded cache.
     pub fn new() -> Self {
         Self::with_policy(None, CachePolicy::Clear)
-    }
-
-    /// A cache that clears itself when `bytes` are exceeded (checked at
-    /// step boundaries by the engines).
-    pub fn with_capacity(bytes: u64) -> Self {
-        Self::with_policy(Some(bytes), CachePolicy::Clear)
     }
 
     /// A cache with an optional byte capacity and an explicit
@@ -891,29 +791,25 @@ impl ActionCache {
             _ => u64::MAX,
         };
         ActionCache {
-            gens: vec![Generation::new(0, 0)],
-            cur: 0,
-            hot_gen: Cell::new(0),
+            slots: vec![Slot::own(0, 0)],
+            hot: Cell::new(0),
             next_seq: 1,
             touch: Cell::new(0),
-            entries: EntryTable::new(),
+            entries: EntryTable::default(),
             capacity,
             policy,
             gen_budget,
             offset_limit: u32::MAX,
             stats: CacheStats::default(),
-            generation: 0,
             obs: ObsHandle::off(),
             frozen: None,
-            frozen_hot: Cell::new(0),
             overlay: HashMap::new(),
             overlay_slab: Vec::new(),
         }
     }
 
-    /// Attaches an observability handle; the cache announces clears and
-    /// evictions through it. Pass a clone of the simulation's handle so
-    /// all components feed one stream.
+    /// Attaches the observability handle clears and evictions are
+    /// announced through.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.obs = obs;
     }
@@ -928,815 +824,469 @@ impl ActionCache {
         self.stats
     }
 
-    /// Current clear-generation; changes whenever the cache is cleared
-    /// wholesale. (Partial evictions do not bump this — staleness of
-    /// individual [`NodeId`]s is tracked per generation instead.)
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Monotonic invalidation epoch: advances whenever *any* resident
-    /// node may have become stale — a wholesale clear or a generational
-    /// eviction. Consumers that hold [`NodeId`]s outside the cache
-    /// (e.g. the VM's supertrace buffers) compare this against their
-    /// last-seen value and re-validate only when it moved, instead of
-    /// checking residency on every use.
+    /// Advances whenever a resident node may have become stale (a clear
+    /// or an eviction): holders of [`NodeId`]s outside the cache, like
+    /// the VM's supertraces, re-validate only when it moved.
     #[inline]
     pub fn invalidation_epoch(&self) -> u64 {
         self.stats.clears + self.stats.evictions
     }
 
-    /// Whether the generation with sequence number `seq` is still
-    /// resident (the generation-level form of
-    /// [`is_resident`](Self::is_resident)). Frozen generations are
-    /// resident for the life of the run.
+    /// Whether the segment with sequence number `seq` is still resident.
     #[inline]
     pub fn seq_resident(&self, seq: u32) -> bool {
-        self.gen_slot(seq).is_some() || self.has_frozen_seq(seq)
+        self.slot_of(seq).is_some()
     }
 
-    /// Stamps each generation in `seqs` as recently used. Supertrace
-    /// execution bypasses the per-step lookups that normally feed the
-    /// eviction touch clock, so it reports the generations it reads
-    /// through this instead (once per trace entry, not per step).
+    /// Stamps each segment in `seqs` as recently used: supertraces bypass
+    /// the lookups that feed the eviction touch clock, so they report
+    /// the segments they read once per trace entry.
     pub fn touch_gens(&self, seqs: &[u32]) {
         for &s in seqs {
             self.touch_seq(s);
         }
     }
 
-    /// Number of live nodes.
+    fn own_slots(&self) -> impl Iterator<Item = &Slot> {
+        self.slots
+            .iter()
+            .filter(|s| matches!(s.store, Store::Own(_)))
+    }
+
+    /// Number of nodes in the cache's own (non-shared) segments.
     pub fn node_count(&self) -> usize {
-        self.gens.iter().map(|g| g.nodes.len()).sum()
-    }
-
-    /// Number of live generations.
-    pub fn generation_count(&self) -> usize {
-        self.gens.len()
-    }
-
-    /// Number of live entries (including registrations whose target was
-    /// evicted but whose slot has not been reclaimed yet).
-    pub fn entry_count(&self) -> usize {
-        self.entries.len
+        self.own_slots().map(|s| s.seg().nodes.len()).sum()
     }
 
     /// Whether the byte budget is exhausted.
     pub fn over_capacity(&self) -> bool {
-        match self.capacity {
-            Some(cap) => self.stats.bytes_current > cap,
-            None => false,
-        }
+        self.capacity
+            .is_some_and(|cap| self.stats.bytes_current > cap)
     }
 
-    /// Whether `id` resolves to a live (non-evicted) or frozen node.
+    /// Whether `id` resolves to a resident node.
     #[inline]
     pub fn is_resident(&self, id: NodeId) -> bool {
-        self.gen_slot(id.gen).is_some() || self.has_frozen_seq(id.gen)
+        self.seq_resident(id.gen)
     }
 
-    /// Whether `seq` names a frozen generation (hot-hint first; frozen
-    /// sequence numbers are always below live ones, so this is one
-    /// compare on the cold-cache common path).
+    /// Slot of the segment with sequence number `seq`, hot hint first.
     #[inline]
-    fn has_frozen_seq(&self, seq: u32) -> bool {
-        match self.frozen.as_deref() {
-            Some(f) => self.frozen_slot(f, seq).is_some(),
-            None => false,
+    fn slot_of(&self, seq: u32) -> Option<usize> {
+        let hot = self.hot.get() as usize;
+        match self.slots.get(hot) {
+            Some(s) if s.seq == seq => Some(hot),
+            _ => self.search_slot(seq),
         }
     }
 
-    /// Slot of the frozen generation with sequence number `seq`.
-    #[inline]
-    fn frozen_slot(&self, f: &FrozenGens, seq: u32) -> Option<usize> {
-        let hot = self.frozen_hot.get() as usize;
-        if let Some(g) = f.gens.get(hot) {
-            if g.seq == seq {
-                return Some(hot);
-            }
-        }
-        let i = f.gens.binary_search_by_key(&seq, |g| g.seq).ok()?;
-        self.frozen_hot.set(i as u32);
-        Some(i)
-    }
-
-    /// The frozen generation with sequence number `seq`, if any.
-    #[inline]
-    fn frozen_gen(&self, seq: u32) -> Option<&FrozenGen> {
-        let f = self.frozen.as_deref()?;
-        let slot = self.frozen_slot(f, seq)?;
-        Some(&f.gens[slot])
-    }
-
-    /// The frozen generation owning `id`; panics on a stale id.
-    /// Reached only after live resolution failed (replay checks
-    /// residency through the lookup APIs before dereferencing).
-    #[inline]
-    fn frozen_gen_of(&self, id: NodeId) -> &FrozenGen {
-        self.frozen_gen(id.gen)
-            .expect("stale NodeId: its generation was evicted or cleared")
-    }
-
-    /// Slot of the generation with sequence number `seq`, hot-hint first.
-    #[inline]
-    fn gen_slot(&self, seq: u32) -> Option<usize> {
-        let hot = self.hot_gen.get() as usize;
-        match self.gens.get(hot) {
-            Some(g) if g.seq == seq => Some(hot),
-            _ => self.gen_slot_cold(seq),
-        }
-    }
-
+    /// [`slot_of`](Self::slot_of) past the hint, kept out of line so the
+    /// hinted path stays small enough to inline into replay.
     #[cold]
-    fn gen_slot_cold(&self, seq: u32) -> Option<usize> {
-        let i = self.gens.iter().position(|g| g.seq == seq)?;
-        self.hot_gen.set(i as u32);
+    fn search_slot(&self, seq: u32) -> Option<usize> {
+        let i = self.slots.binary_search_by_key(&seq, |s| s.seq).ok()?;
+        self.hot.set(i as u32);
         Some(i)
     }
 
-    /// Stamps the generation owning `seq` with a fresh touch-clock tick
-    /// (eviction coldness; cheap enough for once-per-step call sites).
+    /// The slot owning `id`; panics on a stale id.
+    #[inline]
+    fn slot(&self, id: NodeId) -> &Slot {
+        &self.slots[self.slot_of(id.gen).expect(STALE)]
+    }
+
+    /// Stamps the segment owning `seq` with a fresh touch-clock tick.
     #[inline]
     fn touch_seq(&self, seq: u32) {
-        if let Some(slot) = self.gen_slot(seq) {
+        if let Some(slot) = self.slot_of(seq) {
             let t = self.touch.get().wrapping_add(1);
             self.touch.set(t);
-            self.gens[slot].last_touch.set(t);
+            self.slots[slot].last_touch.set(t);
         }
     }
 
-    /// Drops all recorded behaviour (the clear-on-full policy, §6.2).
-    /// Outstanding [`NodeId`]s and [`Cursor`]s become invalid; they are
-    /// detected lazily because cleared sequence numbers never recur.
+    /// Drops all recorded behaviour (the clear-on-full policy, §6.2);
+    /// outstanding ids and cursors read as stale. An installed image stays.
     pub fn clear(&mut self) {
-        let freed = self.stats.bytes_current;
-        let nodes = self.node_count() as u64;
-        let seq = self.fresh_seq();
-        self.gens.clear();
-        self.gens.push(Generation::new(seq, self.touch.get()));
-        self.cur = 0;
-        self.hot_gen.set(0);
-        self.entries.clear();
-        // The frozen image is read-only, outside the byte budget and
-        // keyed to this run, so a clear keeps it (its entries are
-        // re-registered below); only the private overlay dies — every
-        // overlay target just went stale with the live generations.
-        self.overlay.clear();
-        self.overlay_slab.clear();
-        self.stats.bytes_cleared = self.stats.bytes_cleared.saturating_add(freed);
-        self.stats.bytes_current = 0;
-        self.stats.clears += 1;
-        self.generation += 1;
-        self.reregister_frozen_entries();
-        if self.obs.enabled() {
-            self.obs.emit(TraceEvent::CacheClear {
-                bytes: freed,
-                nodes,
-                clears: self.stats.clears,
-            });
-        }
+        self.retire(0, None);
     }
 
     /// Brings the cache back under its byte capacity at a step boundary,
     /// per the configured policy. Returns whether `cursor` is still
     /// valid: `false` means recording must restart at the entry (the
-    /// clear-on-full behaviour), `true` means the cursor's generation was
+    /// clear-on-full behaviour), `true` means the cursor's segment was
     /// pinned and recording can continue seamlessly.
     pub fn reclaim(&mut self, cursor: &Cursor) -> bool {
-        if !self.over_capacity() {
-            return true;
-        }
-        match self.policy {
-            CachePolicy::Clear => {
-                self.clear();
-                false
+        match self.capacity {
+            Some(cap) if self.stats.bytes_current > cap => {
+                let keep = self.policy == CachePolicy::Generational;
+                self.retire(cap, keep.then_some(cursor));
+                keep
             }
-            CachePolicy::Generational => {
-                let pin_cur = self.gens[self.cur].seq;
-                let pin_cursor = match cursor {
-                    Cursor::AtEntry(_) => None,
-                    Cursor::AfterPlain(n)
-                    | Cursor::AfterTest(n, _)
-                    | Cursor::AfterIndex(n, _, _) => Some(n.gen),
-                };
-                while self.over_capacity() {
-                    let victim = self
-                        .gens
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, g)| g.seq != pin_cur && Some(g.seq) != pin_cursor)
-                        .min_by_key(|(_, g)| g.last_touch.get())
-                        .map(|(i, _)| i);
-                    match victim {
-                        Some(i) => self.evict_gen(i),
-                        // Everything left is pinned; the budget is
-                        // softly exceeded until the next boundary.
-                        None => break,
-                    }
-                }
-                true
-            }
+            _ => true,
         }
     }
 
-    /// Evicts the coldest generations until at most `target` bytes stay
-    /// resident — the memory-pressure release valve behind
-    /// `Simulation::trim_cache`, independent of the capacity policy.
-    /// The recording generation and `cursor`'s generation are pinned
-    /// (recording continues seamlessly), so the target is best-effort:
-    /// pinned bytes stay put. A paused replay position is not pinned;
-    /// evicting it is detected by the engine's residency check and
-    /// healed through the slow path.
+    /// Evicts the coldest segments until at most `target` bytes stay
+    /// resident, whatever the policy (`Simulation::trim_cache`). Pinned
+    /// segments stay, so the target is best-effort; a paused replay
+    /// position is not pinned, and the engine heals its eviction through
+    /// the slow path.
     pub fn shrink_to(&mut self, target: u64, cursor: &Cursor) {
-        let pin_cur = self.gens[self.cur].seq;
-        let pin_cursor = match cursor {
-            Cursor::AtEntry(_) => None,
-            Cursor::AfterPlain(n) | Cursor::AfterTest(n, _) | Cursor::AfterIndex(n, _, _) => {
+        self.retire(target, Some(cursor));
+    }
+
+    /// The one victim loop behind [`clear`](Self::clear),
+    /// [`reclaim`](Self::reclaim) and [`shrink_to`](Self::shrink_to).
+    /// With a cursor, the coldest own segment that holds neither the
+    /// recording position nor the cursor's node goes, one eviction at a
+    /// time, until at most `target` bytes stay resident. Without one,
+    /// every own segment goes and the result counts as one clear.
+    fn retire(&mut self, target: u64, pin: Option<&Cursor>) {
+        let wholesale = pin.is_none();
+        let cursor = match pin {
+            Some(Cursor::AfterPlain(n) | Cursor::AfterTest(n, _) | Cursor::AfterIndex(n, ..)) => {
                 Some(n.gen)
             }
+            _ => None,
         };
-        while self.stats.bytes_current > target {
+        let pinned = [self.slots.last().map(|s| s.seq), cursor];
+        let (freed, nodes) = (self.stats.bytes_current, self.node_count() as u64);
+        while wholesale || self.stats.bytes_current > target {
             let victim = self
-                .gens
+                .slots
                 .iter()
                 .enumerate()
-                .filter(|(_, g)| g.seq != pin_cur && Some(g.seq) != pin_cursor)
-                .min_by_key(|(_, g)| g.last_touch.get())
+                .filter(|(_, s)| matches!(s.store, Store::Own(_)))
+                .filter(|(_, s)| wholesale || !pinned.contains(&Some(s.seq)))
+                .min_by_key(|(_, s)| s.last_touch.get())
                 .map(|(i, _)| i);
-            match victim {
-                Some(i) => self.evict_gen(i),
-                None => break,
+            // Everything left is pinned: the budget is softly exceeded
+            // until the next boundary.
+            let Some(i) = victim else { break };
+            let slot = self.slots.remove(i);
+            if !wholesale {
+                let s = &mut self.stats;
+                s.bytes_current = s.bytes_current.saturating_sub(slot.bytes);
+                s.bytes_evicted = s.bytes_evicted.saturating_add(slot.bytes);
+                s.evictions = s.evictions.saturating_add(1);
+                if self.obs.enabled() {
+                    self.obs.emit(TraceEvent::CacheEvict {
+                        gen: slot.seq as u64,
+                        bytes: slot.bytes,
+                        nodes: slot.seg().nodes.len() as u64,
+                        evictions: s.evictions,
+                    });
+                }
             }
         }
-    }
-
-    /// Retires one generation: releases its bytes and announces the
-    /// eviction. Links into it become stale and read as ordinary misses.
-    fn evict_gen(&mut self, slot: usize) {
-        let g = self.gens.swap_remove(slot);
-        if self.cur == self.gens.len() {
-            // The recording generation was the vector's last element and
-            // was swapped into the vacated slot.
-            self.cur = slot;
+        if wholesale {
+            let seq = self.fresh_seq();
+            self.slots.push(Slot::own(seq, self.touch.get()));
+            self.entries.clear();
+            // Every overlay link left with the own segments; shared
+            // records read as sealed again.
+            self.overlay.clear();
+            self.overlay_slab.clear();
+            self.slots.iter_mut().for_each(|s| s.cow.clear());
+            let s = &mut self.stats;
+            s.bytes_cleared = s.bytes_cleared.saturating_add(freed);
+            s.bytes_current = 0;
+            s.clears += 1;
+            self.reregister_frozen_entries();
+            if self.obs.enabled() {
+                self.obs.emit(TraceEvent::CacheClear {
+                    bytes: freed,
+                    nodes,
+                    clears: self.stats.clears,
+                });
+            }
         }
-        self.hot_gen.set(self.cur as u32);
-        self.stats.bytes_current = self.stats.bytes_current.saturating_sub(g.bytes);
-        self.stats.bytes_evicted = self.stats.bytes_evicted.saturating_add(g.bytes);
-        self.stats.evictions = self.stats.evictions.saturating_add(1);
-        if self.obs.enabled() {
-            self.obs.emit(TraceEvent::CacheEvict {
-                gen: g.seq as u64,
-                bytes: g.bytes,
-                nodes: g.nodes.len() as u64,
-                evictions: self.stats.evictions,
-            });
-        }
+        self.hot.set(self.slots.len() as u32 - 1);
     }
 
     fn fresh_seq(&mut self) -> u32 {
         let seq = self.next_seq;
-        self.next_seq = self
-            .next_seq
-            .checked_add(1)
-            .expect("generation sequence numbers exhausted");
+        self.next_seq = seq.checked_add(1).expect("sequence numbers exhausted");
         seq
     }
 
-    /// Seals the current generation and opens a fresh one. Never
-    /// invalidates anything: links are generation-tagged.
+    /// Seals the recording segment and opens a fresh one.
     fn rotate(&mut self) {
         let seq = self.fresh_seq();
         let t = self.touch.get().wrapping_add(1);
         self.touch.set(t);
-        self.gens.push(Generation::new(seq, t));
-        self.cur = self.gens.len() - 1;
-        self.hot_gen.set(self.cur as u32);
+        self.slots.push(Slot::own(seq, t));
+        self.hot.set(self.slots.len() as u32 - 1);
     }
 
-    /// The entry node for `key`, if one was recorded and is still
-    /// resident.
+    /// The entry node for `key`, if recorded and still resident.
     pub fn entry(&self, key: &Key) -> Option<NodeId> {
         self.entry_bytes(key.as_bytes())
     }
 
-    /// [`entry`](Self::entry) from raw serialized key bytes — lets the
-    /// replay loop look up a key it built in a reusable buffer without
-    /// materializing a [`Key`].
+    /// [`entry`](Self::entry) from raw serialized key bytes (replay's
+    /// reusable key buffer).
     pub fn entry_bytes(&self, bytes: &[u8]) -> Option<NodeId> {
-        let n = self.entries.get(bytes)?;
-        if self.is_resident(n) {
-            self.touch_seq(n.gen);
-            Some(n)
-        } else {
-            None
-        }
+        let n = self.entries.get(bytes).filter(|&n| self.is_resident(n))?;
+        self.touch_seq(n.gen);
+        Some(n)
     }
 
-    /// The node behind `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is stale (its generation was evicted or cleared).
+    /// The node behind `id`; panics if `id` is stale.
     pub fn node(&self, id: NodeId) -> Node {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return self.gens[slot].nodes[id.index()];
-        }
-        self.frozen_gen_of(id).nodes[id.index()]
+        self.slot(id).seg().nodes[id.index()]
     }
 
-    /// The placeholder data of a node, resolved from its generation's
-    /// slab.
+    /// The placeholder data of a node, resolved from its segment's slab.
     pub fn node_data(&self, id: NodeId) -> &[i64] {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            return range_of(&g.slab, g.nodes[id.index()].data);
-        }
-        let g = self.frozen_gen_of(id);
-        range_of(&g.slab, g.nodes[id.index()].data)
+        let seg = self.slot(id).seg();
+        range_of(&seg.slab, seg.nodes[id.index()].data)
     }
 
-    /// The successor links of a node. For a frozen node this is the
-    /// *base* link set; copy-on-write additions live in the private
-    /// overlay and are only reachable through the lookup methods.
+    /// The successor record lookups search for `id`: its segment's, or
+    /// the private overlay copy of a shared node that had links recorded
+    /// from it.
     pub fn succ(&self, id: NodeId) -> &Succ {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return &self.gens[slot].succs[id.index()];
-        }
-        &self.frozen_gen_of(id).succs[id.index()]
+        self.record(id).0
     }
 
-    /// The overlay's successor record for a frozen node, if any links
-    /// were recorded on top of it.
-    fn overlay_succ(&self, id: NodeId) -> Option<&Succ> {
-        self.overlay.get(&id)
+    /// [`succ`](Self::succ) plus the slab its INDEX ranges resolve
+    /// against.
+    fn record(&self, id: NodeId) -> (&Succ, &[i64]) {
+        self.record_at(self.slot_of(id.gen).expect(STALE), id)
+    }
+
+    /// [`record`](Self::record) of a node of slot `s`: the one place the
+    /// copy-on-write overlay is read.
+    #[inline]
+    fn record_at(&self, s: usize, id: NodeId) -> (&Succ, &[i64]) {
+        let slot = &self.slots[s];
+        let seg = match &slot.store {
+            Store::Own(seg) => seg,
+            Store::Shared(_) if marked(&slot.cow, id.index()) => {
+                return (&self.overlay[&id], &self.overlay_slab);
+            }
+            Store::Shared(seg) => seg,
+        };
+        (&seg.succs[id.index()], &seg.slab)
+    }
+
+    /// The writable form of [`record`](Self::record). A shared node's
+    /// first write copies its sealed record into the overlay (INDEX
+    /// signatures into the overlay slab); the shared image is never
+    /// written.
+    fn record_mut(&mut self, id: NodeId) -> (&mut Succ, &mut Vec<i64>) {
+        let s = self.slot_of(id.gen).expect(STALE);
+        let idx = id.index();
+        let slot = &mut self.slots[s];
+        match &slot.store {
+            Store::Own(_) => {}
+            Store::Shared(_) if marked(&slot.cow, idx) => {}
+            Store::Shared(seg) => {
+                let copy = copy_succ(
+                    &seg.succs[idx],
+                    &seg.slab,
+                    Some(&mut self.overlay_slab),
+                    |_| true,
+                );
+                self.overlay.insert(id, copy);
+                if slot.cow.is_empty() {
+                    slot.cow = vec![0; seg.nodes.len().div_ceil(64)];
+                }
+                slot.cow[idx / 64] |= 1 << (idx % 64);
+            }
+        }
+        match &mut slot.store {
+            Store::Own(seg) => (&mut seg.succs[idx], &mut seg.slab),
+            Store::Shared(_) => (
+                self.overlay
+                    .get_mut(&id)
+                    .expect("overlay record was just made"),
+                &mut self.overlay_slab,
+            ),
+        }
+    }
+
+    /// The link of `id` that `find` picks in the node's successor record
+    /// (position, target), pointing the record's inline cache at it —
+    /// unless the record is a sealed shared one, which other caches read
+    /// too. A link whose target is no longer resident reads as missing.
+    #[inline]
+    fn follow(
+        &mut self,
+        id: NodeId,
+        find: impl FnOnce(&Succ, &[i64]) -> Option<(usize, NodeId)>,
+    ) -> Option<NodeId> {
+        let s = self.slot_of(id.gen).expect(STALE);
+        let (rec, slab) = self.record_at(s, id);
+        let (i, n) = find(rec, slab).filter(|&(_, n)| self.is_resident(n))?;
+        if i == rec.hot() {
+            return Some(n);
+        }
+        let Slot { store, cow, .. } = &mut self.slots[s];
+        match store {
+            Store::Own(seg) => seg.succs[id.index()].set_hot(i),
+            Store::Shared(_) if marked(cow, id.index()) => {
+                if let Some(rec) = self.overlay.get_mut(&id) {
+                    rec.set_hot(i);
+                }
+            }
+            Store::Shared(_) => {}
+        }
+        Some(n)
     }
 
     /// Successor of a plain action. A link whose target was evicted
     /// reads as missing.
     pub fn next_plain(&self, id: NodeId) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return match &self.gens[slot].succs[id.index()] {
-                Succ::One(n) if self.is_resident(*n) => Some(*n),
-                _ => None,
-            };
-        }
-        // Frozen node: base first (frozen links never dangle), then the
-        // copy-on-write overlay (targets are live, so filter).
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::One(n) => Some(*n),
-            Succ::None => match self.overlay_succ(id) {
-                Some(Succ::One(n)) if self.is_resident(*n) => Some(*n),
-                _ => None,
-            },
-            _ => None,
-        }
-    }
-
-    /// Successor of a dynamic result test for `value` (immutable; no
-    /// inline-cache update — replay uses [`next_test_hot`](Self::next_test_hot)).
-    pub fn next_test(&self, id: NodeId, value: i64) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            return match &self.gens[slot].succs[id.index()] {
-                Succ::Tests(list) => list.get(value).filter(|&n| self.is_resident(n)),
-                _ => None,
-            };
-        }
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::Tests(list) => list.get(value).or_else(|| match self.overlay_succ(id) {
-                Some(Succ::Tests(ov)) => ov.get(value).filter(|&n| self.is_resident(n)),
-                _ => None,
-            }),
+        match self.record(id).0 {
+            Succ::One(n) if self.is_resident(*n) => Some(*n),
             _ => None,
         }
     }
 
     /// Successor of a dynamic result test for `value`, refreshing the
-    /// node's hot-index inline cache on a hit. A frozen node's base list
-    /// is shared and immutable, so only overlay hits refresh a hot index
-    /// (the snapshot's inline caches stay cold, as documented).
+    /// node's hot-index inline cache on a hit.
     pub fn next_test_hot(&mut self, id: NodeId, value: i64) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let n = match &mut self.gens[slot].succs[id.index()] {
-                Succ::Tests(list) => list.get_hot(value)?,
-                _ => return None,
-            };
-            return if self.is_resident(n) { Some(n) } else { None };
-        }
-        match &self.frozen_gen_of(id).succs[id.index()] {
-            Succ::Tests(list) => {
-                if let Some(n) = list.get(value) {
-                    return Some(n);
-                }
-            }
-            _ => return None,
-        }
-        let n = match self.overlay.get_mut(&id) {
-            Some(Succ::Tests(ov)) => ov.get_hot(value)?,
-            _ => return None,
-        };
-        if self.is_resident(n) {
-            Some(n)
-        } else {
-            None
-        }
+        self.follow(id, |s, slab| match s {
+            Succ::Tests(l) => l.get(slab, &value),
+            _ => None,
+        })
     }
 
     /// Node-local successor of an INDEX action for a dynamic signature —
-    /// the fast path, no key serialization needed (immutable variant).
-    pub fn next_index_local(&self, id: NodeId, sig: &[i64]) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            if let Some(&(r, n)) = list.items.get(list.hot as usize) {
-                if range_of(&g.slab, r) == sig && self.is_resident(n) {
-                    return Some(n);
-                }
-            }
-            return index_position(&g.slab, list, sig)
-                .map(|i| list.items[i].1)
-                .filter(|&n| self.is_resident(n));
-        }
-        let g = self.frozen_gen_of(id);
-        let Succ::Index(list) = &g.succs[id.index()] else {
-            return None;
-        };
-        if let Some(i) = index_position(&g.slab, list, sig) {
-            return Some(list.items[i].1);
-        }
-        match self.overlay_succ(id) {
-            Some(Succ::Index(ov)) => index_position(&self.overlay_slab, ov, sig)
-                .map(|i| ov.items[i].1)
-                .filter(|&n| self.is_resident(n)),
-            _ => None,
-        }
-    }
-
-    /// [`next_index_local`](Self::next_index_local), refreshing the
+    /// the fast path, no key serialization needed — refreshing the
     /// node's hot-index inline cache on a hit and stamping the target's
-    /// generation as recently used (once-per-step eviction coldness).
-    /// Frozen base lists are shared and stay cold; only overlay hits
-    /// refresh a hot index.
+    /// segment as recently used (once-per-step eviction coldness).
     pub fn next_index_local_hot(&mut self, id: NodeId, sig: &[i64]) -> Option<NodeId> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            let found = if let Some(&(r, n)) = list.items.get(list.hot as usize) {
-                if range_of(&g.slab, r) == sig {
-                    Some((list.hot as usize, n))
-                } else {
-                    index_position(&g.slab, list, sig).map(|i| (i, list.items[i].1))
-                }
-            } else {
-                index_position(&g.slab, list, sig).map(|i| (i, list.items[i].1))
-            };
-            let (i, n) = found?;
-            if !self.is_resident(n) {
-                return None;
-            }
-            let Succ::Index(list) = &mut self.gens[slot].succs[id.index()] else {
-                unreachable!()
-            };
-            list.hot = i as u32;
-            self.touch_seq(n.gen);
-            return Some(n);
-        }
-        {
-            let g = self.frozen_gen_of(id);
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            if let Some(i) = index_position(&g.slab, list, sig) {
-                return Some(list.items[i].1);
-            }
-        }
-        let found = match self.overlay.get(&id) {
-            Some(Succ::Index(ov)) => {
-                index_position(&self.overlay_slab, ov, sig).map(|i| (i, ov.items[i].1))
-            }
+        let n = self.follow(id, |s, slab| match s {
+            Succ::Index(l) => l.get(slab, sig),
             _ => None,
-        };
-        let (i, n) = found?;
-        if !self.is_resident(n) {
-            return None;
-        }
-        if let Some(Succ::Index(ov)) = self.overlay.get_mut(&id) {
-            ov.hot = i as u32;
-        }
+        })?;
         self.touch_seq(n.gen);
         Some(n)
     }
 
-    /// The hot-hint successor of a dynamic result test: the
-    /// `(observed value, target)` pair the node's inline cache points
-    /// at, if the target is still resident. This is the edge a trace
-    /// builder should speculate on — it is the last edge replay took.
+    /// The `(value, target)` link a test's inline cache points at, if
+    /// resident: the last edge replay took, which trace builders
+    /// speculate on.
     pub fn predicted_test(&self, id: NodeId) -> Option<(i64, NodeId)> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let Succ::Tests(list) = &self.gens[slot].succs[id.index()] else {
-                return None;
-            };
-            let &(v, n) = list.items.get(list.hot as usize)?;
-            return if self.is_resident(n) { Some((v, n)) } else { None };
-        }
-        // Frozen node: the overlay's hot index is the only one that
-        // moves, so it carries the recency signal when present.
-        if let Some(Succ::Tests(ov)) = self.overlay_succ(id) {
-            if let Some(&(v, n)) = ov.items.get(ov.hot as usize) {
-                if self.is_resident(n) {
-                    return Some((v, n));
-                }
-            }
-        }
-        let Succ::Tests(list) = &self.frozen_gen_of(id).succs[id.index()] else {
+        let (Succ::Tests(l), _) = self.record(id) else {
             return None;
         };
-        let &(v, n) = list.items.get(list.hot as usize)?;
-        Some((v, n))
+        let &(v, n) = l.items.get(l.hot as usize)?;
+        self.is_resident(n).then_some((v, n))
     }
 
-    /// The hot-hint successor of an INDEX action: the dynamic signature
-    /// contents and target entry of the inline-cached link, if the
-    /// target is still resident.
+    /// The `(signature, target)` link an INDEX node's inline cache
+    /// points at, if resident.
     pub fn predicted_index(&self, id: NodeId) -> Option<(&[i64], NodeId)> {
-        if let Some(slot) = self.gen_slot(id.gen) {
-            let g = &self.gens[slot];
-            let Succ::Index(list) = &g.succs[id.index()] else {
-                return None;
-            };
-            let &(r, n) = list.items.get(list.hot as usize)?;
-            return if self.is_resident(n) {
-                Some((range_of(&g.slab, r), n))
-            } else {
-                None
-            };
-        }
-        if let Some(Succ::Index(ov)) = self.overlay_succ(id) {
-            if let Some(&(r, n)) = ov.items.get(ov.hot as usize) {
-                if self.is_resident(n) {
-                    return Some((range_of(&self.overlay_slab, r), n));
-                }
-            }
-        }
-        let g = self.frozen_gen_of(id);
-        let Succ::Index(list) = &g.succs[id.index()] else {
+        let (Succ::Index(l), slab) = self.record(id) else {
             return None;
         };
-        let &(r, n) = list.items.get(list.hot as usize)?;
-        Some((range_of(&g.slab, r), n))
+        let &(r, n) = l.items.get(l.hot as usize)?;
+        self.is_resident(n).then(|| (range_of(slab, r), n))
     }
 
     // ----- recording -----
 
-    /// Makes sure the current generation can absorb `extra` slab values
-    /// and one more node, rotating to a fresh generation when its byte
+    /// The recording segment: always the table's last slot (it holds
+    /// the newest sequence number).
+    fn cur(&mut self) -> &mut Segment {
+        match &mut self.slots.last_mut().expect("a recording segment").store {
+            Store::Own(seg) => seg,
+            Store::Shared(_) => unreachable!("the recording segment is never shared"),
+        }
+    }
+
+    /// Makes sure the recording segment can absorb `extra` slab values
+    /// and one more node, rotating to a fresh segment when its byte
     /// budget is spent or its `u32` offset space would overflow (the
     /// checked alternative to silently truncating `as u32` casts).
     fn ensure_room(&mut self, extra: usize) {
+        let limit = self.offset_limit as usize;
         assert!(
-            extra <= self.offset_limit as usize,
+            extra <= limit,
             "action payload ({extra} values) exceeds the slab offset width"
         );
-        let g = &self.gens[self.cur];
-        let over_budget = g.bytes >= self.gen_budget;
-        let over_offset = g.slab.len() + extra > self.offset_limit as usize
-            || g.nodes.len() >= self.offset_limit as usize;
+        let slot = self.slots.last().expect("a recording segment");
+        let seg = slot.seg();
+        let over_offset = seg.slab.len() + extra > limit || seg.nodes.len() >= limit;
         // Offset exhaustion always forces a rotation; a spent byte budget
-        // only does once the generation holds at least one node (an empty
-        // generation over budget would rotate forever).
-        if over_offset || (over_budget && !g.nodes.is_empty()) {
+        // only does once the segment holds at least one node (an empty
+        // segment over budget would rotate forever).
+        if over_offset || (slot.bytes >= self.gen_budget && !seg.nodes.is_empty()) {
             self.rotate();
         }
     }
 
-    /// Raises the high-water mark to the current level. Must be called
-    /// everywhere `bytes_current` grows.
-    fn note_peak(&mut self) {
-        self.stats.bytes_peak = self.stats.bytes_peak.max(self.stats.bytes_current);
-    }
-
-    /// Charges `bytes` to the generation owning `seq` (if still
-    /// resident) and to the global counters.
+    /// Charges `bytes` to the segment owning `seq` (if still resident)
+    /// and to the global counters, raising the high-water mark.
     fn charge(&mut self, seq: u32, bytes: u64) {
-        self.stats.bytes_current = self.stats.bytes_current.saturating_add(bytes);
-        self.stats.bytes_total = self.stats.bytes_total.saturating_add(bytes);
-        self.note_peak();
-        if let Some(slot) = self.gen_slot(seq) {
-            self.gens[slot].bytes = self.gens[slot].bytes.saturating_add(bytes);
+        let s = &mut self.stats;
+        s.bytes_current = s.bytes_current.saturating_add(bytes);
+        s.bytes_total = s.bytes_total.saturating_add(bytes);
+        s.bytes_peak = s.bytes_peak.max(s.bytes_current);
+        if let Some(slot) = self.slot_of(seq) {
+            self.slots[slot].bytes = self.slots[slot].bytes.saturating_add(bytes);
         }
     }
 
-    fn new_node(&mut self, action: u32, data: &[i64], succ: Succ) -> NodeId {
-        self.ensure_room(data.len());
-        let bytes: u64 = NODE_OVERHEAD
-            + data
-                .iter()
-                .map(|&v| varint_len(zigzag(v)) as u64)
-                .sum::<u64>();
-        let g = &mut self.gens[self.cur];
-        let seq = g.seq;
-        let idx = g.nodes.len() as u32;
-        let range = if data.is_empty() {
-            SlabRange::EMPTY
-        } else {
-            let off = g.slab.len() as u32;
-            g.slab.extend_from_slice(data);
-            SlabRange {
-                off,
-                len: data.len() as u32,
-            }
-        };
-        g.nodes.push(Node {
-            action,
-            data: range,
-        });
-        g.succs.push(succ);
-        self.charge(seq, bytes);
-        self.stats.nodes_created = self.stats.nodes_created.saturating_add(1);
-        NodeId { gen: seq, idx }
-    }
-
-    /// Inserts the `sig -> target` link into an INDEX successor list
-    /// (replacing in place when the signature exists with an evicted
-    /// target), keeping the sorted invariant for large lists. Returns
-    /// whether a *new* link was added (byte accounting); the link is
-    /// skipped — safely, the entry-table fallback still resolves the
-    /// crossing — when the owning generation's slab offset space cannot
-    /// absorb the signature.
-    fn index_insert(&mut self, index_node: NodeId, sig: &[i64], target: NodeId) -> bool {
-        let Some(slot) = self.gen_slot(index_node.gen) else {
-            if self.has_frozen_seq(index_node.gen) {
-                return self.overlay_index_insert(index_node, sig, target);
-            }
-            panic!("stale NodeId: its generation was evicted or cleared");
-        };
+    /// Adds the `sig -> target` link to INDEX node `n`; returns whether a
+    /// link was added. It is skipped when the slab's offset space cannot
+    /// take the signature: the entry table still resolves the crossing.
+    fn index_insert(&mut self, n: NodeId, sig: &[i64], target: NodeId) -> bool {
         let limit = self.offset_limit as usize;
-        let Generation { slab, succs, .. } = &mut self.gens[slot];
-        let Succ::Index(list) = &mut succs[index_node.index()] else {
+        let (rec, slab) = self.record_mut(n);
+        let Succ::Index(list) = rec else {
             unreachable!("index link on non-index node");
         };
-        if let Some(i) = index_position(slab, list, sig) {
-            // Same signature, target evicted (or re-linked): reuse the
-            // recorded slab range, only the target changes.
-            list.items[i].1 = target;
-            list.hot = i as u32;
-            return false;
-        }
-        if slab.len() + sig.len() > limit {
-            return false;
-        }
-        let off = slab.len() as u32;
-        slab.extend_from_slice(sig);
-        let range = SlabRange {
-            off,
-            len: sig.len() as u32,
-        };
-        if list.items.len() < LINEAR_MAX {
-            list.hot = list.items.len() as u32;
-            list.items.push((range, target));
-            return true;
-        }
-        // Sorting compares slab contents; `slab` and `succs` are split
-        // borrows of the same generation.
-        if list.items.len() == LINEAR_MAX {
-            list.items
-                .sort_unstable_by(|&(a, _), &(b, _)| range_of(slab, a).cmp(range_of(slab, b)));
-        }
-        let at = list
-            .items
-            .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
-            .unwrap_err();
-        list.items.insert(at, (range, target));
-        list.hot = at as u32;
-        true
+        list.link(slab, sig, target, |slab| {
+            (slab.len() + sig.len() <= limit).then(|| {
+                slab.extend_from_slice(sig);
+                SlabRange::new((slab.len() - sig.len()) as u32, sig.len() as u32)
+            })
+        })
     }
 
-    /// [`index_insert`](Self::index_insert) for a *frozen* INDEX node:
-    /// the copy-on-write path. The shared image is never touched; the
-    /// link lands in the private overlay and its signature is copied
-    /// into the overlay slab. Reached only after a lookup missed both
-    /// the frozen base and the overlay for this signature (frozen base
-    /// links never dangle, so a base duplicate is impossible).
-    fn overlay_index_insert(&mut self, index_node: NodeId, sig: &[i64], target: NodeId) -> bool {
-        let list = match self
-            .overlay
-            .entry(index_node)
-            .or_insert_with(|| Succ::Index(IndexList::default()))
-        {
-            Succ::Index(list) => list,
-            other => unreachable!("index link on non-index overlay record: {other:?}"),
-        };
-        if let Some(i) = index_position(&self.overlay_slab, list, sig) {
-            // Same signature, target evicted: reuse the recorded range.
-            list.items[i].1 = target;
-            list.hot = i as u32;
-            return false;
-        }
-        if self.overlay_slab.len() + sig.len() > u32::MAX as usize {
-            // Overlay offset space exhausted: skip the link; the
-            // entry-table fallback still resolves the crossing.
-            return false;
-        }
-        let off = self.overlay_slab.len() as u32;
-        self.overlay_slab.extend_from_slice(sig);
-        let range = SlabRange {
-            off,
-            len: sig.len() as u32,
-        };
-        if list.items.len() < LINEAR_MAX {
-            list.hot = list.items.len() as u32;
-            list.items.push((range, target));
-            return true;
-        }
-        let slab = &self.overlay_slab;
-        if list.items.len() == LINEAR_MAX {
-            list.items
-                .sort_unstable_by(|&(a, _), &(b, _)| range_of(slab, a).cmp(range_of(slab, b)));
-        }
-        let at = list
-            .items
-            .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
-            .unwrap_err();
-        list.items.insert(at, (range, target));
-        list.hot = at as u32;
-        true
-    }
-
-    fn link(&mut self, cursor: &Cursor, new: NodeId) {
+    fn link(&mut self, cursor: Cursor, new: NodeId) {
         match cursor {
-            Cursor::AtEntry(key) => {
-                self.register_entry(key.clone(), new);
-            }
+            Cursor::AtEntry(key) => self.register_entry(key, new),
             Cursor::AfterPlain(n) => {
-                if let Some(slot) = self.gen_slot(n.gen) {
-                    debug_assert!(
-                        match &self.gens[slot].succs[n.index()] {
-                            Succ::None => true,
-                            Succ::One(t) => !self.is_resident(*t),
-                            _ => false,
-                        },
-                        "plain link already filled with a live target"
-                    );
-                    self.gens[slot].succs[n.index()] = Succ::One(new);
-                } else if self.has_frozen_seq(n.gen) {
-                    // Frozen cursor node: a recorded base link would have
-                    // replayed (frozen links never dangle), so the base
-                    // is `None` here; the new link is a COW addition. An
-                    // existing overlay link can only have an evicted
-                    // target — overwrite it.
-                    debug_assert!(matches!(
-                        self.frozen_gen_of(*n).succs[n.index()],
-                        Succ::None
-                    ));
-                    self.overlay.insert(*n, Succ::One(new));
-                } else {
-                    panic!("stale cursor: its generation was evicted or cleared");
-                }
+                debug_assert!(
+                    match self.succ(n) {
+                        Succ::None => true,
+                        Succ::One(t) => !self.is_resident(*t),
+                        _ => false,
+                    },
+                    "plain link already filled with a live target"
+                );
+                *self.record_mut(n).0 = Succ::One(new);
             }
             Cursor::AfterTest(n, v) => {
-                let added = if let Some(slot) = self.gen_slot(n.gen) {
-                    match &mut self.gens[slot].succs[n.index()] {
-                        Succ::Tests(list) => list.insert(*v, new),
-                        other => unreachable!("test cursor on non-test node: {other:?}"),
-                    }
-                } else if self.has_frozen_seq(n.gen) {
-                    match self
-                        .overlay
-                        .entry(*n)
-                        .or_insert_with(|| Succ::Tests(TestList::default()))
-                    {
-                        Succ::Tests(list) => list.insert(*v, new),
-                        other => unreachable!("test cursor on non-test overlay record: {other:?}"),
-                    }
-                } else {
-                    panic!("stale cursor: its generation was evicted or cleared");
+                let (rec, slab) = self.record_mut(n);
+                let Succ::Tests(list) = rec else {
+                    unreachable!("test cursor on non-test node");
                 };
-                if added {
-                    let bytes = varint_len(zigzag(*v)) as u64 + 4;
-                    self.charge(n.gen, bytes);
+                if list.link(slab, &v, new, |_| Some(v)) {
+                    self.charge(n.gen, varint_len(zigzag(v)) as u64 + 4);
                 }
             }
             Cursor::AfterIndex(n, key, sig) => {
-                if self.index_insert(*n, sig, new) {
-                    let bytes = key.len() as u64 + 4;
-                    self.charge(n.gen, bytes);
+                if self.index_insert(n, &sig, new) {
+                    self.charge(n.gen, key.len() as u64 + 4);
                 }
-                self.register_entry(key.clone(), new);
+                self.register_entry(key, new);
             }
         }
     }
 
     fn register_entry(&mut self, key: Key, node: NodeId) {
         let bytes = key.len() as u64 + ENTRY_OVERHEAD;
-        let gens = &self.gens;
-        let frozen = self.frozen.as_deref();
-        let resident =
-            |seq: u32| gens.iter().any(|g| g.seq == seq) || frozen.is_some_and(|f| f.has_seq(seq));
-        if self.entries.insert(key, node, resident) {
-            // Entry bytes are charged to the *target's* generation so an
+        let slots = &self.slots;
+        if self.entries.insert(key, node, |seq| holds(slots, seq)) {
+            // Entry bytes are charged to the *target's* segment so an
             // eviction reclaims them along with the nodes they point at.
             self.charge(node.gen, bytes);
             self.stats.entries_created = self.stats.entries_created.saturating_add(1);
@@ -1745,10 +1295,7 @@ impl ActionCache {
 
     /// Records a plain action at the cursor; advances the cursor.
     pub fn record_plain(&mut self, cursor: &mut Cursor, action: u32, data: &[i64]) -> NodeId {
-        let id = self.new_node(action, data, Succ::None);
-        self.link(cursor, id);
-        *cursor = Cursor::AfterPlain(id);
-        id
+        self.append(cursor, action, data, Succ::None, Cursor::AfterPlain)
     }
 
     /// Records a dynamic result test that observed `value`; advances the
@@ -1760,10 +1307,10 @@ impl ActionCache {
         data: &[i64],
         value: i64,
     ) -> NodeId {
-        let id = self.new_node(action, data, Succ::Tests(TestList::default()));
-        self.link(cursor, id);
-        *cursor = Cursor::AfterTest(id, value);
-        id
+        let succ = Succ::Tests(TestList::default());
+        self.append(cursor, action, data, succ, |id| {
+            Cursor::AfterTest(id, value)
+        })
     }
 
     /// Records an INDEX action computing `next_key` (with dynamic
@@ -1776,29 +1323,62 @@ impl ActionCache {
         next_key: Key,
         sig: Vec<i64>,
     ) -> NodeId {
-        let id = self.new_node(action, data, Succ::Index(IndexList::default()));
-        self.link(cursor, id);
-        *cursor = Cursor::AfterIndex(id, next_key, sig);
+        let succ = Succ::Index(IndexList::default());
+        self.append(cursor, action, data, succ, |id| {
+            Cursor::AfterIndex(id, next_key, sig)
+        })
+    }
+
+    /// Appends a node to the recording segment, links it at `cursor`
+    /// (taking the cursor's key rather than cloning it) and moves the
+    /// cursor past it.
+    fn append(
+        &mut self,
+        cursor: &mut Cursor,
+        action: u32,
+        data: &[i64],
+        succ: Succ,
+        next: impl FnOnce(NodeId) -> Cursor,
+    ) -> NodeId {
+        self.ensure_room(data.len());
+        let seg = self.cur();
+        let id = NodeId {
+            gen: seg.seq,
+            idx: seg.nodes.len() as u32,
+        };
+        let off = seg.slab.len() as u32;
+        seg.slab.extend_from_slice(data);
+        let data_range = match data.len() as u32 {
+            0 => SlabRange::default(),
+            len => SlabRange { off, len },
+        };
+        seg.nodes.push(Node {
+            action,
+            data: data_range,
+        });
+        seg.succs.push(succ);
+        let bytes = data
+            .iter()
+            .map(|&v| varint_len(zigzag(v)) as u64)
+            .sum::<u64>();
+        self.charge(id.gen, NODE_OVERHEAD + bytes);
+        self.stats.nodes_created = self.stats.nodes_created.saturating_add(1);
+        let at = std::mem::replace(cursor, next(id));
+        self.link(at, id);
         id
     }
 
-    /// Links an existing entry as the successor of an INDEX cursor — the
-    /// hand-off from slow recording to fast replay when the next key is
-    /// already cached.
+    /// Links an existing entry after an INDEX cursor: the hand-off from
+    /// recording to replay when the next key is already cached.
     pub fn link_existing(&mut self, cursor: &Cursor, entry: NodeId) {
         if let Cursor::AfterIndex(n, key, sig) = cursor {
-            if !self.is_resident(*n) {
-                return;
-            }
-            if self.index_insert(*n, sig, entry) {
-                let bytes = key.len() as u64 + 4;
-                self.charge(n.gen, bytes);
+            if self.is_resident(*n) && self.index_insert(*n, sig, entry) {
+                self.charge(n.gen, key.len() as u64 + 4);
             }
         }
     }
 
-    /// Shrinks the per-generation slab offset width (tests only): forces
-    /// the rotation-before-overflow path without recording gigabytes.
+    /// Shrinks the slab offset width, to test rotation-before-overflow.
     #[cfg(test)]
     fn set_offset_limit(&mut self, limit: u32) {
         self.offset_limit = limit;
@@ -1811,179 +1391,60 @@ impl ActionCache {
         self.capacity
     }
 
-    /// The installed warm-start image, if any.
-    pub fn frozen(&self) -> Option<&Arc<FrozenGens>> {
-        self.frozen.as_ref()
-    }
-
-    /// Exports the cache's recorded behaviour as an immutable image:
-    /// the checkpoint half of persistence.
-    ///
-    /// The export is deterministic for a given cache history. An
-    /// installed frozen base is re-exported first (in sequence order)
-    /// with the private overlay's additions merged in and overlay
-    /// signatures re-copied into the owning generation's slab; live
-    /// generations follow, sorted by sequence number. Links whose
-    /// target is no longer resident are pruned, inline caches are reset
-    /// to cold, and entry registrations keep only resident targets — so
-    /// every reference in the image resolves within the image.
+    /// Exports the cache's recorded behaviour as an immutable image, the
+    /// checkpoint half of persistence: every non-empty segment in
+    /// sequence order, each record as lookups see it, with stale links
+    /// and entries pruned and inline caches cold — so every reference in
+    /// the image resolves within it.
     pub fn freeze(&self) -> FrozenGens {
-        let mut gens: Vec<FrozenGen> = Vec::new();
-        if let Some(f) = self.frozen.as_deref() {
-            for g in &f.gens {
-                let mut slab = g.slab.clone();
-                let mut succs = Vec::with_capacity(g.succs.len());
-                for (idx, base) in g.succs.iter().enumerate() {
-                    let id = NodeId {
-                        gen: g.seq,
-                        idx: idx as u32,
-                    };
-                    succs.push(self.export_frozen_succ(base, self.overlay.get(&id), &mut slab));
-                }
-                gens.push(FrozenGen {
-                    seq: g.seq,
-                    nodes: g.nodes.clone(),
+        let live = |n: NodeId| self.is_resident(n);
+        let gens = self
+            .slots
+            .iter()
+            .filter(|slot| !slot.seg().nodes.is_empty())
+            .map(|slot| {
+                let seg = slot.seg();
+                let mut slab = seg.slab.clone();
+                let succs = (0..seg.nodes.len())
+                    .map(|i| {
+                        let (rec, from) = self.record(NodeId::from_parts(seg.seq, i as u32));
+                        copy_succ(rec, from, marked(&slot.cow, i).then_some(&mut slab), live)
+                    })
+                    .collect();
+                Arc::new(Segment {
+                    seq: seg.seq,
+                    nodes: seg.nodes.clone(),
                     succs,
                     slab,
-                });
-            }
-        }
-        // `evict_gen` swap-removes, so the live vector's order is a
-        // history artifact — sort by seq for a canonical image.
-        let mut live: Vec<&Generation> = self.gens.iter().filter(|g| !g.nodes.is_empty()).collect();
-        live.sort_unstable_by_key(|g| g.seq);
-        for g in live {
-            let succs = g.succs.iter().map(|s| self.export_live_succ(s)).collect();
-            gens.push(FrozenGen {
-                seq: g.seq,
-                nodes: g.nodes.clone(),
-                succs,
-                slab: g.slab.clone(),
-            });
-        }
-        let mut entries = Vec::new();
-        for slot in &self.entries.slots {
-            if slot.node == EntryTable::VACANT {
-                continue;
-            }
-            let id = NodeId {
-                gen: slot.gen,
-                idx: slot.node,
-            };
-            if self.is_resident(id) {
-                entries.push((slot.key.clone(), id));
-            }
-        }
+                })
+            })
+            .collect();
+        let entries = self
+            .entries
+            .slots
+            .iter()
+            .filter(|s| s.node != EntryTable::VACANT)
+            .map(|s| (s.key.clone(), NodeId::from_parts(s.gen, s.node)))
+            .filter(|&(_, n)| live(n))
+            .collect();
         let mut image = FrozenGens {
             gens,
             entries,
             bytes: 0,
         };
-        // A nominal in-memory size so warm-start accounting is non-zero
-        // even for images shared without touching disk; the snapshot
-        // codec overwrites this with the serialized payload size.
+        // A nominal size until the snapshot codec stamps the payload's.
         image.bytes = image_bytes(&image);
         image
     }
 
-    /// One frozen successor record merged with its overlay delta, for
-    /// [`freeze`](Self::freeze). Overlay INDEX signatures are re-copied
-    /// into `slab` (the exported generation's slab, of which the frozen
-    /// base slab is a prefix, so base ranges stay valid).
-    fn export_frozen_succ(&self, base: &Succ, ov: Option<&Succ>, slab: &mut Vec<i64>) -> Succ {
-        match base {
-            Succ::None => match ov {
-                Some(Succ::One(n)) if self.is_resident(*n) => Succ::One(*n),
-                _ => Succ::None,
-            },
-            Succ::One(n) => Succ::One(*n),
-            Succ::Tests(list) => {
-                let mut items = list.items.clone();
-                if let Some(Succ::Tests(ovl)) = ov {
-                    for &(v, n) in &ovl.items {
-                        if self.is_resident(n) && !items.iter().any(|&(bv, _)| bv == v) {
-                            items.push((v, n));
-                        }
-                    }
-                }
-                if items.len() > LINEAR_MAX {
-                    items.sort_unstable_by_key(|&(v, _)| v);
-                }
-                Succ::Tests(TestList { items, hot: 0 })
-            }
-            Succ::Index(list) => {
-                let mut items = list.items.clone();
-                if let Some(Succ::Index(ovl)) = ov {
-                    for &(r, n) in &ovl.items {
-                        if !self.is_resident(n) {
-                            continue;
-                        }
-                        let dup = {
-                            let sig = range_of(&self.overlay_slab, r);
-                            items.iter().any(|&(br, _)| range_of(slab, br) == sig)
-                        };
-                        if dup {
-                            continue;
-                        }
-                        let off = slab.len() as u32;
-                        slab.extend_from_slice(range_of(&self.overlay_slab, r));
-                        items.push((SlabRange { off, len: r.len }, n));
-                    }
-                }
-                if items.len() > LINEAR_MAX {
-                    items.sort_unstable_by(|&(a, _), &(b, _)| {
-                        range_of(slab, a).cmp(range_of(slab, b))
-                    });
-                }
-                Succ::Index(IndexList { items, hot: 0 })
-            }
-        }
-    }
-
-    /// One live successor record with stale targets pruned and the
-    /// inline cache reset, for [`freeze`](Self::freeze). Filtering
-    /// preserves order, so large lists stay sorted.
-    fn export_live_succ(&self, s: &Succ) -> Succ {
-        match s {
-            Succ::None => Succ::None,
-            Succ::One(n) => {
-                if self.is_resident(*n) {
-                    Succ::One(*n)
-                } else {
-                    Succ::None
-                }
-            }
-            Succ::Tests(list) => {
-                let items = list
-                    .items
-                    .iter()
-                    .copied()
-                    .filter(|&(_, n)| self.is_resident(n))
-                    .collect();
-                Succ::Tests(TestList { items, hot: 0 })
-            }
-            Succ::Index(list) => {
-                let items = list
-                    .items
-                    .iter()
-                    .copied()
-                    .filter(|&(_, n)| self.is_resident(n))
-                    .collect();
-                Succ::Index(IndexList { items, hot: 0 })
-            }
-        }
-    }
-
-    /// Pins a frozen image under this cache: the warm-start half of
-    /// persistence. Only legal on a cache that has never recorded — the
-    /// live (empty) generation is renumbered above the frozen range so
-    /// sequence numbers stay globally unique, which also keeps frozen
-    /// generations invisible to eviction (it only scans live storage).
+    /// Pins a frozen image under this cache, the warm-start half of
+    /// persistence. Only legal on a cache that has never recorded; the
+    /// recording segment is renumbered above the image's sequence numbers.
     ///
     /// # Errors
     ///
-    /// A static description when a snapshot is already installed, the
-    /// cache has recorded state, or the sequence space is exhausted.
+    /// When a snapshot is already installed, the cache has recorded, or
+    /// the sequence space is exhausted.
     pub fn install_frozen(&mut self, snap: Arc<FrozenGens>) -> Result<(), &'static str> {
         if self.frozen.is_some() {
             return Err("a snapshot is already installed");
@@ -1991,60 +1452,83 @@ impl ActionCache {
         if self.stats.nodes_created != 0 || self.entries.len != 0 {
             return Err("cache is not empty");
         }
-        if let Some(max_seq) = snap.max_seq() {
-            self.next_seq = max_seq
+        if let Some(last) = snap.gens.last() {
+            self.next_seq = last
+                .seq
                 .checked_add(1)
                 .ok_or("snapshot sequence space exhausted")?;
             let seq = self.fresh_seq();
-            self.gens.clear();
-            self.gens.push(Generation::new(seq, self.touch.get()));
-            self.cur = 0;
-            self.hot_gen.set(0);
+            let shared = |seg: &Arc<Segment>| Slot::new(seg.seq, Store::Shared(seg.clone()), 0);
+            self.slots = snap.gens.iter().map(shared).collect();
+            self.slots.push(Slot::own(seq, self.touch.get()));
+            self.hot.set(0);
         }
-        let (bytes, gens, nodes, entries) = (
-            snap.bytes(),
-            snap.generation_count() as u64,
-            snap.node_count() as u64,
-            snap.entry_count() as u64,
-        );
-        self.stats.bytes_frozen = bytes;
-        self.stats.frozen_gens = gens;
-        self.frozen = Some(snap);
-        self.frozen_hot.set(0);
-        self.reregister_frozen_entries();
+        self.stats.bytes_frozen = snap.bytes;
+        self.stats.frozen_gens = snap.gens.len() as u64;
         if self.obs.enabled() {
             self.obs.emit(TraceEvent::SnapshotLoad {
-                bytes,
-                gens,
-                nodes,
-                entries,
+                bytes: snap.bytes,
+                gens: snap.gens.len() as u64,
+                nodes: snap.node_count() as u64,
+                entries: snap.entries.len() as u64,
             });
         }
+        self.frozen = Some(snap);
+        self.reregister_frozen_entries();
         Ok(())
     }
 
-    /// (Re-)registers the frozen image's entries in the entry table —
-    /// at install, and again after a clear emptied the table. Frozen
-    /// storage is accounted through `bytes_frozen`, so no bytes are
-    /// charged and `entries_created` is not bumped.
+    /// (Re-)registers the image's entries at install and after a clear;
+    /// frozen storage is accounted in `bytes_frozen`, not charged.
     fn reregister_frozen_entries(&mut self) {
         let Some(f) = self.frozen.clone() else {
             return;
         };
         for (key, node) in f.entries() {
-            let gens = &self.gens;
-            let frozen = self.frozen.as_deref();
-            let resident = |seq: u32| {
-                gens.iter().any(|g| g.seq == seq) || frozen.is_some_and(|fz| fz.has_seq(seq))
-            };
-            self.entries.insert(key.clone(), *node, resident);
+            let slots = &self.slots;
+            self.entries
+                .insert(key.clone(), *node, |seq| holds(slots, seq));
         }
     }
 }
 
-/// Nominal in-memory size of an image (node headers, links, slabs and
-/// entry keys), used until the snapshot codec stamps the exact
-/// serialized payload size.
+/// Copies a successor record, dropping links to non-`live` targets and
+/// resetting the inline cache (order is kept, so long lists stay sorted).
+/// INDEX signatures are re-copied from `from` into `to` when given.
+fn copy_succ(
+    s: &Succ,
+    from: &[i64],
+    mut to: Option<&mut Vec<i64>>,
+    live: impl Fn(NodeId) -> bool,
+) -> Succ {
+    match s {
+        Succ::None => Succ::None,
+        Succ::One(n) if live(*n) => Succ::One(*n),
+        Succ::One(_) => Succ::None,
+        Succ::Tests(l) => Succ::Tests(Links {
+            items: l.items.iter().copied().filter(|&(_, n)| live(n)).collect(),
+            hot: 0,
+        }),
+        Succ::Index(l) => Succ::Index(Links {
+            items: l
+                .items
+                .iter()
+                .filter(|&&(_, n)| live(n))
+                .map(|&(r, n)| match &mut to {
+                    Some(slab) => {
+                        let off = slab.len() as u32;
+                        slab.extend_from_slice(range_of(from, r));
+                        (SlabRange { off, len: r.len }, n)
+                    }
+                    None => (r, n),
+                })
+                .collect(),
+            hot: 0,
+        }),
+    }
+}
+
+/// Nominal in-memory size of an image: headers, links, slabs and keys.
 fn image_bytes(image: &FrozenGens) -> u64 {
     let mut bytes = 0u64;
     for g in &image.gens {
@@ -2064,24 +1548,8 @@ fn image_bytes(image: &FrozenGens) -> u64 {
     bytes
 }
 
-/// Free-function range resolution, usable while a successor list is
-/// borrowed from a generation.
 fn range_of(slab: &[i64], r: SlabRange) -> &[i64] {
     &slab[r.off as usize..(r.off + r.len) as usize]
-}
-
-/// Position of `sig` in an INDEX successor list: linear scan for small
-/// lists, binary search by signature content for large ones.
-fn index_position(slab: &[i64], list: &IndexList, sig: &[i64]) -> Option<usize> {
-    if list.items.len() <= LINEAR_MAX {
-        list.items
-            .iter()
-            .position(|&(r, _)| range_of(slab, r) == sig)
-    } else {
-        list.items
-            .binary_search_by(|&(r, _)| range_of(slab, r).cmp(sig))
-            .ok()
-    }
 }
 
 impl Default for ActionCache {
@@ -2137,9 +1605,9 @@ mod tests {
         let mut cur2 = Cursor::AfterTest(t, 1);
         let miss = c.record_plain(&mut cur2, 5, &[]);
 
-        assert_eq!(c.next_test(t, 0), Some(hit));
-        assert_eq!(c.next_test(t, 1), Some(miss));
-        assert_eq!(c.next_test(t, 18), None);
+        assert_eq!(c.next_test_hot(t, 0), Some(hit));
+        assert_eq!(c.next_test_hot(t, 1), Some(miss));
+        assert_eq!(c.next_test_hot(t, 18), None);
         assert_eq!(c.next_test_hot(t, 0), Some(hit));
         assert_eq!(c.next_test_hot(t, 18), None);
     }
@@ -2157,13 +1625,20 @@ mod tests {
             let mut cur2 = Cursor::AfterTest(t, v);
             nodes.push(c.record_plain(&mut cur2, 100 + v.unsigned_abs() as u32, &[]));
         }
-        assert_eq!(c.next_test(t, 0), Some(nodes[0]));
-        for (i, v) in [7, -3, 12, 5, 42, -99, 2, 30, 17, 9, -5, 64].iter().enumerate() {
+        assert_eq!(c.next_test_hot(t, 0), Some(nodes[0]));
+        for (i, v) in [7, -3, 12, 5, 42, -99, 2, 30, 17, 9, -5, 64]
+            .iter()
+            .enumerate()
+        {
             assert_eq!(c.next_test_hot(t, *v), Some(nodes[i + 1]), "value {v}");
             // Hot hit on repeat.
-            assert_eq!(c.next_test_hot(t, *v), Some(nodes[i + 1]), "value {v} (hot)");
+            assert_eq!(
+                c.next_test_hot(t, *v),
+                Some(nodes[i + 1]),
+                "value {v} (hot)"
+            );
         }
-        assert_eq!(c.next_test(t, 1000), None);
+        assert_eq!(c.next_test_hot(t, 1000), None);
     }
 
     #[test]
@@ -2175,10 +1650,10 @@ mod tests {
         // the dynamic signature locally.
         let e2 = c.record_plain(&mut cur, 7, &[]);
         assert_eq!(c.entry(&key(2)), Some(e2));
-        assert_eq!(c.next_index_local(idx, &[2]), Some(e2));
+        assert_eq!(c.next_index_local_hot(idx, &[2]), Some(e2));
         assert_eq!(c.next_index_local_hot(idx, &[2]), Some(e2));
         // Unknown signature has no local link.
-        assert_eq!(c.next_index_local(idx, &[3]), None);
+        assert_eq!(c.next_index_local_hot(idx, &[3]), None);
     }
 
     #[test]
@@ -2187,18 +1662,26 @@ mod tests {
         let mut cur = Cursor::AtEntry(key(1));
         let idx = c.record_index(&mut cur, 99, &[], key(1000), vec![1000]);
         let first = c.record_plain(&mut cur, 1, &[]);
-        assert_eq!(c.next_index_local(idx, &[1000]), Some(first));
+        assert_eq!(c.next_index_local_hot(idx, &[1000]), Some(first));
         let mut targets = Vec::new();
         for v in [9i64, 3, 27, 81, 1, 55, 13, 7, 99, 41, 2, 68] {
             let mut cur2 = Cursor::AfterIndex(idx, key(v), vec![v, v + 1]);
             targets.push((v, c.record_plain(&mut cur2, 50 + v as u32, &[])));
         }
         for (v, n) in &targets {
-            assert_eq!(c.next_index_local_hot(idx, &[*v, *v + 1]), Some(*n), "sig {v}");
-            assert_eq!(c.next_index_local_hot(idx, &[*v, *v + 1]), Some(*n), "sig {v} hot");
+            assert_eq!(
+                c.next_index_local_hot(idx, &[*v, *v + 1]),
+                Some(*n),
+                "sig {v}"
+            );
+            assert_eq!(
+                c.next_index_local_hot(idx, &[*v, *v + 1]),
+                Some(*n),
+                "sig {v} hot"
+            );
         }
-        assert_eq!(c.next_index_local(idx, &[1000]), Some(first));
-        assert_eq!(c.next_index_local(idx, &[10_000]), None);
+        assert_eq!(c.next_index_local_hot(idx, &[1000]), Some(first));
+        assert_eq!(c.next_index_local_hot(idx, &[10_000]), None);
     }
 
     #[test]
@@ -2211,7 +1694,7 @@ mod tests {
         // falls back to the entry table by (re)building the key.
         let mut cur_b = Cursor::AtEntry(key(1));
         let idx = c.record_index(&mut cur_b, 99, &[], key(9), vec![9]);
-        assert_eq!(c.next_index_local(idx, &[2]), None);
+        assert_eq!(c.next_index_local_hot(idx, &[2]), None);
         assert_eq!(c.entry(&key(2)), Some(e2));
         assert_eq!(c.entry_bytes(key(2).as_bytes()), Some(e2));
     }
@@ -2227,9 +1710,9 @@ mod tests {
         let Cursor::AfterIndex(idx, _, _) = cur_b else {
             panic!("cursor should be after index");
         };
-        assert_eq!(c.next_index_local(idx, &[2]), Some(e2));
+        assert_eq!(c.next_index_local_hot(idx, &[2]), Some(e2));
         if let Succ::Index(list) = c.succ(idx) {
-            assert_eq!(list.len(), 1);
+            assert_eq!(list.items().len(), 1);
         } else {
             panic!("index successors expected");
         }
@@ -2237,7 +1720,7 @@ mod tests {
         let stats_before = c.stats();
         c.link_existing(&cur_b, e2);
         if let Succ::Index(list) = c.succ(idx) {
-            assert_eq!(list.len(), 1);
+            assert_eq!(list.items().len(), 1);
         } else {
             panic!("index successors expected");
         }
@@ -2246,7 +1729,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_and_capacity() {
-        let mut c = ActionCache::with_capacity(100);
+        let mut c = ActionCache::with_policy(Some(100), CachePolicy::Clear);
         let mut cur = Cursor::AtEntry(key(1));
         assert!(!c.over_capacity());
         for i in 0..20 {
@@ -2261,7 +1744,7 @@ mod tests {
         assert_eq!(after.clears, 1);
         assert_eq!(after.bytes_total, before.bytes_total, "total is monotonic");
         assert_eq!(c.entry(&key(1)), None);
-        assert_ne!(c.generation(), 0);
+        assert_ne!(c.invalidation_epoch(), 0);
         assert_bytes_invariant(&c);
     }
 
@@ -2294,7 +1777,7 @@ mod tests {
             let mut cur = Cursor::AtEntry(key(i));
             expected.push((i, c.record_plain(&mut cur, 0, &[])));
         }
-        assert_eq!(c.entry_count(), 1000);
+        assert_eq!(c.entries.len, 1000);
         for (i, n) in expected {
             assert_eq!(c.entry(&key(i)), Some(n), "key {i}");
         }
@@ -2303,7 +1786,7 @@ mod tests {
 
     #[test]
     fn clear_accounts_released_bytes() {
-        let mut c = ActionCache::with_capacity(50);
+        let mut c = ActionCache::with_policy(Some(50), CachePolicy::Clear);
         let mut cur = Cursor::AtEntry(key(1));
         for i in 0..10 {
             c.record_plain(&mut cur, i, &[1]);
@@ -2347,7 +1830,11 @@ mod tests {
         let events = obs.drain_events();
         assert_eq!(events.len(), 1);
         match events[0] {
-            TraceEvent::CacheClear { bytes, nodes, clears } => {
+            TraceEvent::CacheClear {
+                bytes,
+                nodes,
+                clears,
+            } => {
                 assert!(bytes > 0);
                 assert_eq!(nodes, 1);
                 assert_eq!(clears, 1);
@@ -2359,7 +1846,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let mut c = ActionCache::with_capacity(50);
+        let mut c = ActionCache::with_policy(Some(50), CachePolicy::Clear);
         let mut cur = Cursor::AtEntry(key(1));
         for i in 0..10 {
             c.record_plain(&mut cur, i, &[1]);
@@ -2423,6 +1910,16 @@ mod tests {
 
     // ----- generational policy -----
 
+    /// Evicts exactly the segment holding `n` through the real victim
+    /// loop: it becomes the coldest, and the trim stops once it is gone.
+    fn evict_segment_of(c: &mut ActionCache, n: NodeId) {
+        for s in &c.slots {
+            s.last_touch.set(if s.seq == n.gen { 0 } else { u64::MAX });
+        }
+        c.shrink_to(c.stats.bytes_current - 1, &Cursor::AtEntry(key(-1)));
+        assert!(!c.is_resident(n));
+    }
+
     /// Records `steps` straight-line entries keyed 0..steps, returning
     /// the ids.
     fn record_entries(c: &mut ActionCache, steps: i64) -> Vec<NodeId> {
@@ -2439,7 +1936,7 @@ mod tests {
         let mut c = ActionCache::with_policy(Some(600), CachePolicy::Generational);
         let ids = record_entries(&mut c, 100);
         assert!(c.over_capacity());
-        assert!(c.generation_count() > 1, "budget forces rotation");
+        assert!(c.own_slots().count() > 1, "budget forces rotation");
         // Touch the most recent entries so the oldest generations are
         // the cold ones.
         for i in 95..100 {
@@ -2507,24 +2004,23 @@ mod tests {
         // Rotate so B lands in its own generation.
         c.rotate();
         let b = c.record_plain(&mut cur, 6, &[42]);
-        assert_eq!(c.next_index_local(idx, &[2]), Some(b));
+        assert_eq!(c.next_index_local_hot(idx, &[2]), Some(b));
         assert_eq!(c.entry(&key(2)), Some(b));
         // Evict B's generation (A's generation is current? No: cur is
         // B's. Rotate again so B's gen is evictable, then evict it.)
         c.rotate();
-        let b_slot = c.gen_slot(b.gen).unwrap();
-        c.evict_gen(b_slot);
+        evict_segment_of(&mut c, b);
         assert!(!c.is_resident(b));
         assert!(c.is_resident(idx));
         // Stale INDEX link and entry read as ordinary misses.
-        assert_eq!(c.next_index_local(idx, &[2]), None);
+        assert_eq!(c.next_index_local_hot(idx, &[2]), None);
         assert_eq!(c.next_index_local_hot(idx, &[2]), None);
         assert_eq!(c.entry(&key(2)), None);
         assert_bytes_invariant(&c);
         // Re-record B through the same cursor shape the engine would use.
         let mut cur2 = Cursor::AfterIndex(idx, key(2), vec![2]);
         let b2 = c.record_plain(&mut cur2, 6, &[42]);
-        assert_eq!(c.next_index_local(idx, &[2]), Some(b2));
+        assert_eq!(c.next_index_local_hot(idx, &[2]), Some(b2));
         assert_eq!(c.entry(&key(2)), Some(b2));
         assert_bytes_invariant(&c);
     }
@@ -2537,19 +2033,18 @@ mod tests {
         let t = c.record_test(&mut cur, 2, &[], 7);
         c.rotate();
         let tail = c.record_plain(&mut cur, 3, &[]);
-        assert_eq!(c.next_test(t, 7), Some(tail));
+        assert_eq!(c.next_test_hot(t, 7), Some(tail));
         // Evict the tail's generation.
         c.rotate();
-        let slot = c.gen_slot(tail.gen).unwrap();
-        c.evict_gen(slot);
-        assert_eq!(c.next_test(t, 7), None, "stale test link is a miss");
+        evict_segment_of(&mut c, tail);
+        assert_eq!(c.next_test_hot(t, 7), None, "stale test link is a miss");
         assert_eq!(c.next_test_hot(t, 7), None);
         // Re-record over the stale pair: no duplicate, target replaced.
         let mut cur2 = Cursor::AfterTest(t, 7);
         let tail2 = c.record_plain(&mut cur2, 3, &[]);
-        assert_eq!(c.next_test(t, 7), Some(tail2));
+        assert_eq!(c.next_test_hot(t, 7), Some(tail2));
         if let Succ::Tests(list) = c.succ(t) {
-            assert_eq!(list.len(), 1, "replaced in place, not duplicated");
+            assert_eq!(list.items().len(), 1, "replaced in place, not duplicated");
         } else {
             panic!("test successors expected");
         }
@@ -2563,8 +2058,7 @@ mod tests {
         let q = c.record_plain(&mut cur3, 5, &[]);
         assert_eq!(c.next_plain(p), Some(q));
         c.rotate();
-        let q_slot = c.gen_slot(q.gen).unwrap();
-        c.evict_gen(q_slot);
+        evict_segment_of(&mut c, q);
         assert_eq!(c.next_plain(p), None, "stale plain link is a miss");
         let mut cur4 = Cursor::AfterPlain(p);
         let q2 = c.record_plain(&mut cur4, 5, &[]);
@@ -2602,7 +2096,7 @@ mod tests {
 
     #[test]
     fn clear_policy_reclaim_clears_wholesale() {
-        let mut c = ActionCache::with_capacity(100);
+        let mut c = ActionCache::with_policy(Some(100), CachePolicy::Clear);
         record_entries(&mut c, 20);
         assert!(c.over_capacity());
         let survived = c.reclaim(&Cursor::AtEntry(key(999)));
@@ -2627,9 +2121,9 @@ mod tests {
             ids.push(c.record_plain(&mut cur, i as u32, &[i, i * 3, i * 5]));
         }
         assert!(
-            c.generation_count() > 10,
+            c.own_slots().count() > 10,
             "tiny offset width forces rotations (got {})",
-            c.generation_count()
+            c.own_slots().count()
         );
         for (i, id) in ids.iter().enumerate() {
             let i = i as i64;
@@ -2691,7 +2185,10 @@ mod tests {
     #[test]
     fn send_holds_with_touch_cells() {
         const fn assert_send<T: Send>() {}
+        const fn assert_send_sync<T: Send + Sync>() {}
         assert_send::<ActionCache>();
+        // Sealed segments carry no bookkeeping cells, so images share.
+        assert_send_sync::<FrozenGens>();
     }
 
     // ---- persistence: freeze / install / overlay COW -------------------
@@ -2715,8 +2212,8 @@ mod tests {
     fn freeze_and_install_resolve_in_a_fresh_cache() {
         let mut donor = ActionCache::new();
         let (p, t, idx) = record_sample_graph(&mut donor);
-        let hit = donor.next_test(t, 0).unwrap();
-        let miss = donor.next_test(t, 5).unwrap();
+        let hit = donor.next_test_hot(t, 0).unwrap();
+        let miss = donor.next_test_hot(t, 5).unwrap();
 
         let image = donor.freeze();
         assert!(image.bytes() > 0, "freeze stamps a nominal size");
@@ -2729,10 +2226,10 @@ mod tests {
         assert_eq!(warm.node(p).action, 1);
         assert_eq!(warm.node_data(p), &[10, 20]);
         assert_eq!(warm.next_plain(p), Some(t));
-        assert_eq!(warm.next_test(t, 0), Some(hit));
+        assert_eq!(warm.next_test_hot(t, 0), Some(hit));
         assert_eq!(warm.next_test_hot(t, 5), Some(miss));
-        assert_eq!(warm.next_test(t, 99), None);
-        assert_eq!(warm.next_index_local(idx, &[7, 8]), Some(p));
+        assert_eq!(warm.next_test_hot(t, 99), None);
+        assert_eq!(warm.next_index_local_hot(idx, &[7, 8]), Some(p));
         assert_eq!(warm.next_index_local_hot(idx, &[7, 8]), Some(p));
 
         // Frozen storage is accounted outside the live byte budget.
@@ -2764,7 +2261,7 @@ mod tests {
         let mut donor = ActionCache::new();
         let (p, t, idx) = record_sample_graph(&mut donor);
         // Frozen tail: the branch node after test-value 5 has no successor.
-        let tail = donor.next_test(t, 5).unwrap();
+        let tail = donor.next_test_hot(t, 5).unwrap();
         let snap = Arc::new(donor.freeze());
 
         let mut a = ActionCache::new();
@@ -2779,21 +2276,24 @@ mod tests {
         assert_eq!(a.next_plain(tail), Some(ext));
         let mut cur2 = Cursor::AfterTest(t, 42);
         let branch = a.record_plain(&mut cur2, 7, &[]);
-        assert_eq!(a.next_test(t, 42), Some(branch));
+        assert_eq!(a.next_test_hot(t, 42), Some(branch));
         assert_eq!(a.next_test_hot(t, 42), Some(branch));
         let mut cur3 = Cursor::AfterIndex(idx, key(3), vec![100]);
         let e3 = a.record_plain(&mut cur3, 8, &[]);
-        assert_eq!(a.next_index_local(idx, &[100]), Some(e3));
+        assert_eq!(a.next_index_local_hot(idx, &[100]), Some(e3));
         assert_eq!(a.next_index_local_hot(idx, &[100]), Some(e3));
         // Base links still resolve through the overlay path.
-        assert_eq!(a.next_test(t, 0), Some(donor.next_test(t, 0).unwrap()));
-        assert_eq!(a.next_index_local(idx, &[7, 8]), Some(p));
+        assert_eq!(
+            a.next_test_hot(t, 0),
+            Some(donor.next_test_hot(t, 0).unwrap())
+        );
+        assert_eq!(a.next_index_local_hot(idx, &[7, 8]), Some(p));
         assert_bytes_invariant(&a);
 
         // Lane B shares the same Arc and sees none of lane A's links.
         assert_eq!(b.next_plain(tail), None);
-        assert_eq!(b.next_test(t, 42), None);
-        assert_eq!(b.next_index_local(idx, &[100]), None);
+        assert_eq!(b.next_test_hot(t, 42), None);
+        assert_eq!(b.next_index_local_hot(idx, &[100]), None);
         // And the frozen image itself is untouched.
         assert_eq!(snap.node_count(), donor.freeze().node_count());
     }
@@ -2802,7 +2302,7 @@ mod tests {
     fn refreeze_merges_overlay_and_live_recordings() {
         let mut donor = ActionCache::new();
         let (_, t, idx) = record_sample_graph(&mut donor);
-        let tail = donor.next_test(t, 5).unwrap();
+        let tail = donor.next_test_hot(t, 5).unwrap();
         let snap = Arc::new(donor.freeze());
 
         let mut warm = ActionCache::new();
@@ -2817,9 +2317,15 @@ mod tests {
         let mut next = ActionCache::new();
         next.install_frozen(merged).unwrap();
         assert_eq!(next.next_plain(tail), Some(ext));
-        assert_eq!(next.next_test(t, 0), Some(donor.next_test(t, 0).unwrap()));
-        assert_eq!(next.next_index_local(idx, &[7, 8]), donor.next_index_local(idx, &[7, 8]));
-        assert_eq!(next.next_index_local(idx, &[100, 101]), Some(e3));
+        assert_eq!(
+            next.next_test_hot(t, 0),
+            Some(donor.next_test_hot(t, 0).unwrap())
+        );
+        assert_eq!(
+            next.next_index_local_hot(idx, &[7, 8]),
+            donor.next_index_local_hot(idx, &[7, 8])
+        );
+        assert_eq!(next.next_index_local_hot(idx, &[100, 101]), Some(e3));
         assert_eq!(next.entry(&key(3)), Some(e3));
         assert_bytes_invariant(&next);
     }
@@ -2828,7 +2334,7 @@ mod tests {
     fn clear_keeps_the_frozen_image_but_drops_the_overlay() {
         let mut donor = ActionCache::new();
         let (p, t, _) = record_sample_graph(&mut donor);
-        let tail = donor.next_test(t, 5).unwrap();
+        let tail = donor.next_test_hot(t, 5).unwrap();
         let snap = Arc::new(donor.freeze());
 
         let mut warm = ActionCache::new();
@@ -2849,91 +2355,92 @@ mod tests {
         assert_bytes_invariant(&warm);
     }
 
+    /// One decoded segment of nodes `(action, data range, successors)`.
+    fn seg(seq: u32, slab: Vec<i64>, nodes: Vec<(u32, SlabRange, Succ)>) -> Segment {
+        let nodes = nodes
+            .into_iter()
+            .map(|(action, data, s)| (Node { action, data }, s))
+            .collect();
+        Segment::from_parts(seq, nodes, slab)
+    }
+
     #[test]
     fn builder_validates_structure() {
-        // Non-increasing generation sequence.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(3, vec![]).unwrap();
-        assert!(b.begin_gen(3, vec![]).is_err());
+        // `FrozenGens::from_parts` builds images from untrusted parts.
+        let none = || (0, SlabRange::default(), Succ::None);
+        let seal = |gens: Vec<Segment>, entries: Vec<(Key, NodeId)>| {
+            FrozenGens::from_parts(gens, entries, 16)
+        };
+        // Non-increasing segment sequence.
+        assert!(seal(vec![seg(3, vec![], vec![]), seg(3, vec![], vec![])], vec![]).is_err());
 
         // Node data range past the slab.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![1, 2]).unwrap();
-        assert!(b.push_node(0, 1, 2, FrozenSucc::None).is_err());
+        let past = (0, SlabRange::new(1, 2), Succ::None);
+        assert!(seal(vec![seg(0, vec![1, 2], vec![past])], vec![]).is_err());
 
         // INDEX signature range past the slab.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![1]).unwrap();
         let far = NodeId::from_parts(0, 0);
-        assert!(b
-            .push_node(0, 0, 0, FrozenSucc::Index(vec![(0, 2, far)]))
-            .is_err());
+        let index = Succ::Index(Links::new(vec![(SlabRange::new(0, 2), far)]));
+        assert!(seal(
+            vec![seg(0, vec![1], vec![(0, SlabRange::default(), index)])],
+            vec![]
+        )
+        .is_err());
 
         // Link target out of bounds within the snapshot.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![]).unwrap();
-        b.push_node(0, 0, 0, FrozenSucc::One(NodeId::from_parts(0, 7)))
-            .unwrap();
-        assert!(b.finish(vec![], 16).is_err());
+        let one = |gen, idx| {
+            (
+                0,
+                SlabRange::default(),
+                Succ::One(NodeId::from_parts(gen, idx)),
+            )
+        };
+        assert!(seal(vec![seg(0, vec![], vec![one(0, 7)])], vec![]).is_err());
 
-        // Link target in a generation outside the snapshot.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![]).unwrap();
-        b.push_node(0, 0, 0, FrozenSucc::One(NodeId::from_parts(9, 0)))
-            .unwrap();
-        assert!(b.finish(vec![], 16).is_err());
+        // Link target in a segment outside the snapshot.
+        assert!(seal(vec![seg(0, vec![], vec![one(9, 0)])], vec![]).is_err());
 
         // Entry target out of bounds.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![]).unwrap();
-        b.push_node(0, 0, 0, FrozenSucc::None).unwrap();
-        assert!(b
-            .finish(vec![(key(1), NodeId::from_parts(0, 1))], 16)
-            .is_err());
+        let entry = vec![(key(1), NodeId::from_parts(0, 1))];
+        assert!(seal(vec![seg(0, vec![], vec![none()])], entry).is_err());
 
         // Action number at or past the step's action count.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![]).unwrap();
-        b.push_node(16, 0, 0, FrozenSucc::None).unwrap();
-        assert!(b.finish(vec![], 16).is_err());
+        let big = (16, SlabRange::default(), Succ::None);
+        assert!(seal(vec![seg(0, vec![], vec![big])], vec![]).is_err());
 
         // Duplicate test values in a beyond-linear list.
-        let mut b = FrozenGensBuilder::new();
-        b.begin_gen(0, vec![]).unwrap();
         let this = NodeId::from_parts(0, 0);
-        let dups: Vec<(i64, NodeId)> = (0..=LINEAR_MAX as i64).map(|_| (7, this)).collect();
-        b.push_node(0, 0, 0, FrozenSucc::Tests(dups)).unwrap();
-        assert!(b.finish(vec![], 16).is_err());
+        let dups = (0..=LINEAR_MAX as i64).map(|_| (7, this)).collect();
+        let tests = (0, SlabRange::default(), Succ::Tests(Links::new(dups)));
+        assert!(seal(vec![seg(0, vec![], vec![tests])], vec![]).is_err());
+
+        // A plain link that does not lead forward (replay would loop
+        // within one step).
+        assert!(seal(vec![seg(0, vec![], vec![none(), one(0, 0)])], vec![]).is_err());
+
+        // And a well-formed segment seals.
+        assert!(seal(vec![seg(0, vec![], vec![one(0, 1), none()])], vec![]).is_ok());
     }
 
     #[test]
     fn builder_roundtrips_a_frozen_image() {
-        // Decode-style reconstruction: walk a frozen image through the
-        // builder (as the snapshot codec does) and get an equal image.
+        // Decode-style reconstruction: rebuild a frozen image from its
+        // parts (as the snapshot codec does) and get an equal image.
         let mut donor = ActionCache::new();
         record_sample_graph(&mut donor);
         let image = donor.freeze();
 
-        let mut b = FrozenGensBuilder::new();
-        for g in image.gens() {
-            b.begin_gen(g.seq(), g.slab().to_vec()).unwrap();
-            for (i, n) in g.nodes().iter().enumerate() {
-                let succ = match g.succ(i) {
-                    Succ::None => FrozenSucc::None,
-                    Succ::One(n) => FrozenSucc::One(*n),
-                    Succ::Tests(list) => FrozenSucc::Tests(list.items().to_vec()),
-                    Succ::Index(list) => FrozenSucc::Index(
-                        list.items()
-                            .iter()
-                            .map(|&(r, n)| (r.off() as u32, r.len, n))
-                            .collect(),
-                    ),
-                };
-                b.push_node(n.action, n.data.off() as u32, n.data.len, succ)
-                    .unwrap();
-            }
-        }
-        let rebuilt = b.finish(image.entries().to_vec(), 16).unwrap();
+        let gens = image
+            .gens()
+            .iter()
+            .map(|g| {
+                let nodes = (0..g.nodes().len())
+                    .map(|i| (g.nodes()[i], g.succ(i).clone()))
+                    .collect();
+                Segment::from_parts(g.seq(), nodes, g.slab().to_vec())
+            })
+            .collect();
+        let rebuilt = FrozenGens::from_parts(gens, image.entries().to_vec(), 16).unwrap();
         assert_eq!(rebuilt.generation_count(), image.generation_count());
         assert_eq!(rebuilt.node_count(), image.node_count());
         assert_eq!(rebuilt.entry_count(), image.entry_count());

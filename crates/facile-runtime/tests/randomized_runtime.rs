@@ -109,7 +109,7 @@ fn test_nodes_fork() {
         }
         let t = first.unwrap();
         for (i, v) in values.iter().enumerate() {
-            let succ = cache.next_test(t, *v).expect("successor recorded");
+            let succ = cache.next_test_hot(t, *v).expect("successor recorded");
             assert_eq!(cache.node(succ).action, 100 + i as u32, "case {case}");
         }
         // A value never observed misses.
@@ -118,7 +118,7 @@ fn test_nodes_fork() {
             .map(|v| v.wrapping_mul(31).wrapping_add(12345))
             .find(|v| !values.contains(v));
         if let Some(u) = unseen {
-            assert_eq!(cache.next_test(t, u), None, "case {case}");
+            assert_eq!(cache.next_test_hot(t, u), None, "case {case}");
         }
     }
 }

@@ -58,9 +58,9 @@
 //! ```
 
 use crate::engine::Simulation;
-use facile_codegen::CompiledStep;
+use facile_codegen::{ActionCode, ActionKind, CompiledStep, FOp, FOperand, KeyPlanArg};
 use facile_obs::TraceEvent;
-use facile_runtime::cache::{CachePolicy, FrozenGens, FrozenGensBuilder, FrozenSucc, Succ};
+use facile_runtime::cache::{CachePolicy, FrozenGens, Links, Node, Segment, SlabRange, Succ};
 use facile_runtime::key::{hash_bytes, Key};
 use facile_runtime::NodeId;
 use std::sync::Arc;
@@ -172,8 +172,10 @@ impl LoadedSnapshot {
 
     /// Checks that this snapshot may warm-start `sim`: target digest,
     /// compiled-step fingerprint, cache capacity and policy must all
-    /// match, and every recorded action number must exist in the step's
-    /// action table.
+    /// match, and every recorded node must be one the step's replay can
+    /// walk: its action number exists, its successor kind is the one its
+    /// action replays through, and its data is exactly what the action
+    /// consumes.
     ///
     /// # Errors
     ///
@@ -195,19 +197,103 @@ impl LoadedSnapshot {
         if self.policy != sim.action_cache().policy() {
             return Err(SnapshotError::PolicyMismatch);
         }
-        // Belt and braces under a matching fingerprint; decisive if a
-        // caller skips the fingerprint on purpose.
-        let limit = sim.compiled().action_count() as u32;
+        // The fingerprint names the step, not the payload: the checksum
+        // guards the payload against accidents only, and replay indexes
+        // node data unchecked, so every node is checked against its
+        // action here.
+        let actions = &sim.compiled().actions;
+        // Most actions read a fixed number of values (no length-prefixed
+        // run): their walk is done once, not per node.
+        let fixed: Vec<Option<usize>> = actions.iter().map(|code| consumed(code, &[])).collect();
         for g in self.image.gens() {
-            if let Some(n) = g.nodes().iter().find(|n| n.action >= limit) {
+            for (i, n) in g.nodes().iter().enumerate() {
+                let Some(code) = actions.get(n.action as usize) else {
+                    return Err(SnapshotError::Corrupt(format!(
+                        "action number {} out of range (step has {} actions)",
+                        n.action,
+                        actions.len()
+                    )));
+                };
+                let data = &g.slab()[n.data.off()..][..n.data.len()];
+                let fault = if !succ_fits(&code.kind, g.succ(i)) {
+                    "its successor kind does not match its action"
+                } else if fixed[n.action as usize].or_else(|| consumed(code, data))
+                    != Some(data.len())
+                {
+                    "its data length does not match its action's placeholders"
+                } else {
+                    continue;
+                };
                 return Err(SnapshotError::Corrupt(format!(
-                    "action number {} out of range (step has {limit} actions)",
+                    "node {}:{i} (action {}): {fault}",
+                    g.seq(),
                     n.action
                 )));
             }
         }
         Ok(())
     }
+}
+
+/// Whether a node of this action kind can carry these successor links:
+/// plain actions link straight on, tests by value, INDEX actions by
+/// signature.
+fn succ_fits(kind: &ActionKind, succ: &Succ) -> bool {
+    matches!(
+        (kind, succ),
+        (ActionKind::Plain, Succ::None | Succ::One(_))
+            | (ActionKind::Test { .. }, Succ::Tests(_))
+            | (ActionKind::Index { .. }, Succ::Index(_))
+    )
+}
+
+/// How many placeholder values replaying `code` reads from `data`, in
+/// replay order: one per placeholder operand or lifted scalar, a
+/// length-prefixed run per lifted aggregate or run-time-static queue key
+/// component. `None` when a run's length is unreadable or negative.
+fn consumed(code: &ActionCode, data: &[i64]) -> Option<usize> {
+    let ph = |o: &FOperand| usize::from(*o == FOperand::Ph);
+    let run = |at: usize| {
+        let len = usize::try_from(*data.get(at)?).ok()?;
+        (at + 1).checked_add(len)
+    };
+    let mut at = 0usize;
+    for op in &code.ops {
+        at += match op {
+            FOp::Bin { a, b, .. } => ph(a) + ph(b),
+            FOp::Un { a, .. } => ph(a),
+            FOp::Copy { src, .. } | FOp::StoreGlobal { src, .. } => ph(src),
+            FOp::ElemGet { idx, .. } => ph(idx),
+            FOp::ElemSet { idx, src, .. } => ph(idx) + ph(src),
+            FOp::ArrFill { fill, .. } => ph(fill),
+            FOp::Queue { args, .. } => args.iter().flatten().map(ph).sum(),
+            FOp::FetchToken { stream, .. } => ph(stream),
+            FOp::CallExt { args, .. } => args.iter().map(ph).sum(),
+            FOp::MemLoad { addr, .. } => ph(addr),
+            FOp::MemStore { addr, src, .. } => ph(addr) + ph(src),
+            FOp::CountCycles { n } | FOp::CountInsns { n } => ph(n),
+            FOp::Halt { code } => ph(code),
+            FOp::Trace { v } => ph(v),
+            FOp::LiftVar { .. } | FOp::LiftGlobal { .. } => 1,
+            FOp::LiftAgg { .. } => run(at)? - at,
+            FOp::LoadGlobal { .. } | FOp::AggCopy { .. } => 0,
+        };
+    }
+    match &code.kind {
+        ActionKind::Plain => {}
+        ActionKind::Test { src } => at += ph(src),
+        ActionKind::Index { plan } => {
+            for arg in plan {
+                at = match arg {
+                    KeyPlanArg::ScalarRt => at + 1,
+                    KeyPlanArg::ScalarDyn(o) => at + ph(o),
+                    KeyPlanArg::QueueRt => run(at)?,
+                    KeyPlanArg::QueueDyn(_) => at,
+                };
+            }
+        }
+    }
+    Some(at)
 }
 
 // ---- encoding -----------------------------------------------------------
@@ -398,7 +484,7 @@ fn check_count(count: u32, at_least_bytes: usize, remaining: usize) -> Result<()
 /// Parses and checksum-verifies a `facile-snap/v1` byte stream into a
 /// [`LoadedSnapshot`]. Structural validity (every link target resolves,
 /// slab ranges in bounds, successor lists well-formed) is enforced
-/// here via [`FrozenGensBuilder`]; run validity (digest, fingerprint,
+/// here via [`FrozenGens::from_parts`]; run validity (digest, fingerprint,
 /// capacity, policy) is the separate [`LoadedSnapshot::validate`] step
 /// so one parsed snapshot can be checked against many simulations.
 ///
@@ -459,7 +545,7 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
         buf: payload,
         pos: 0,
     };
-    let mut b = FrozenGensBuilder::new();
+    let mut gens = Vec::with_capacity(gen_count.min(1 << 16) as usize);
     for _ in 0..gen_count {
         let seq = r.u32()?;
         let node_count = r.u32()?;
@@ -469,19 +555,18 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
         for _ in 0..slab_len {
             slab.push(r.i64()?);
         }
-        b.begin_gen(seq, slab).map_err(SnapshotError::Corrupt)?;
         check_count(node_count, 12, payload.len() - r.pos)?;
         let mut nodes = Vec::with_capacity(node_count as usize);
         for _ in 0..node_count {
             let action = r.u32()?;
-            let off = r.u32()?;
-            let len = r.u32()?;
-            nodes.push((action, off, len));
+            let data = SlabRange::new(r.u32()?, r.u32()?);
+            nodes.push(Node { action, data });
         }
-        for (action, off, len) in nodes {
+        let mut parts = Vec::with_capacity(nodes.len());
+        for node in nodes {
             let succ = match r.u8()? {
-                0 => FrozenSucc::None,
-                1 => FrozenSucc::One(r.node_id()?),
+                0 => Succ::None,
+                1 => Succ::One(r.node_id()?),
                 2 => {
                     let count = r.u32()?;
                     check_count(count, 16, payload.len() - r.pos)?;
@@ -490,28 +575,23 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
                         let v = r.i64()?;
                         items.push((v, r.node_id()?));
                     }
-                    FrozenSucc::Tests(items)
+                    Succ::Tests(Links::new(items))
                 }
                 3 => {
                     let count = r.u32()?;
                     check_count(count, 16, payload.len() - r.pos)?;
                     let mut items = Vec::with_capacity(count as usize);
                     for _ in 0..count {
-                        let o = r.u32()?;
-                        let l = r.u32()?;
-                        items.push((o, l, r.node_id()?));
+                        let sig = SlabRange::new(r.u32()?, r.u32()?);
+                        items.push((sig, r.node_id()?));
                     }
-                    FrozenSucc::Index(items)
+                    Succ::Index(Links::new(items))
                 }
-                t => {
-                    return Err(SnapshotError::Corrupt(format!(
-                        "unknown successor tag {t}"
-                    )))
-                }
+                t => return Err(SnapshotError::Corrupt(format!("unknown successor tag {t}"))),
             };
-            b.push_node(action, off, len, succ)
-                .map_err(SnapshotError::Corrupt)?;
+            parts.push((node, succ));
         }
+        gens.push(Segment::from_parts(seq, parts, slab));
     }
     let mut entries = Vec::with_capacity(entry_count.min(1 << 20) as usize);
     for _ in 0..entry_count {
@@ -525,11 +605,10 @@ pub fn parse(bytes: &[u8]) -> Result<LoadedSnapshot, SnapshotError> {
             payload.len() - r.pos
         )));
     }
-    // Action numbers are range-checked against the live step in
-    // `validate` — the builder only enforces structure here.
-    let mut image = b
-        .finish(entries, u32::MAX)
-        .map_err(SnapshotError::Corrupt)?;
+    // Action numbers and per-action layouts are checked against the live
+    // step in `validate` — sealing only enforces structure here.
+    let mut image =
+        FrozenGens::from_parts(gens, entries, u32::MAX).map_err(SnapshotError::Corrupt)?;
     image.set_bytes(payload.len() as u64);
     Ok(LoadedSnapshot {
         target_digest,

@@ -128,6 +128,7 @@ fn recording_steps_allocate_only_for_cache_growth() {
     let slow = st.slow_steps - warm.slow_steps;
     let nodes = c.nodes_created - c0.nodes_created;
     let entries = c.entries_created - c0.entries_created;
+    eprintln!("recording window: {allocs} allocations, {slow} slow steps, {nodes} nodes, {entries} entries");
     assert!(
         slow > 500,
         "the window must be dominated by recording ({slow} slow steps)"

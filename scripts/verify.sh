@@ -21,7 +21,9 @@
 # on multi-core hosts); its empty-list/panicking-callback edge cases
 # must stay structured errors. The serve daemon must round-trip jobs
 # from concurrent clients with digests bit-identical to in-process
-# runs and drain cleanly over the protocol (docs/SERVING.md). Rustdoc
+# runs and drain cleanly over the protocol (docs/SERVING.md). The capped
+# gcc-like cache sweep must reproduce the committed BENCH_cache.json
+# counters exactly (all but throughput). Rustdoc
 # must build warning-free with its doc-tests green.
 set -eu
 
@@ -305,6 +307,19 @@ awk 'BEGIN { clear = 0; gen = 0 }
      END { exit (clear > 0 && gen > 0 && gen < clear) ? 0 : 1 }' \
     "$tmp/cache.jsonl" \
     || { echo "verify: generational policy did not reduce slow-path work"; exit 1; }
+
+echo "==> determinism: cache counters match the committed BENCH_cache.json"
+# Every cache_sweep column but throughput (ips) is a deterministic
+# counter — instructions, slow-path instructions, misses, clears and
+# evictions under both policies at every cap — so the gcc-like sweep at
+# the committed scale must reproduce BENCH_cache.json exactly.
+./target/release/cache_sweep --bench 126.gcc --scale 0.1 \
+    --json-out "$tmp/cache_full.jsonl" > /dev/null
+sed 's/,"ips":[0-9.]*//' BENCH_cache.json > "$tmp/cache_want.jsonl"
+sed 's/,"ips":[0-9.]*//' "$tmp/cache_full.jsonl" > "$tmp/cache_got.jsonl"
+cmp -s "$tmp/cache_want.jsonl" "$tmp/cache_got.jsonl" \
+    || { echo "verify: cache_sweep counters differ from BENCH_cache.json"; \
+         diff "$tmp/cache_want.jsonl" "$tmp/cache_got.jsonl" || true; exit 1; }
 
 echo "==> perf smoke: observability overhead stays small on gcc-like"
 # One small obs_overhead lane: the top-10 hot chains must explain at
